@@ -824,7 +824,7 @@ impl Invariant for ByzContainmentBudget {
          verdict still detects a returning primary within the slotted budget"
     }
     fn guards(&self) -> &'static str {
-        "comimo-sensing fuse_soft_weighted + ReputationTracker quarantine; chaos-world \
+        "comimo-sensing fuse_soft + ReputationTracker quarantine; chaos-world \
          Byzantine cast and sensing stage"
     }
     fn bound_text(&self) -> String {

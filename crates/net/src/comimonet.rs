@@ -183,11 +183,6 @@ impl CoMimoNet {
         &self.clusters
     }
 
-    /// The long-haul range `D`.
-    pub fn long_range(&self) -> f64 {
-        self.long_range
-    }
-
     /// Cluster-graph adjacency.
     pub fn cluster_neighbours(&self, c: usize) -> &[usize] {
         &self.cluster_adj[c]

@@ -1,10 +1,9 @@
 //! Uniform spatial hash-grid over a bounded field.
 //!
-//! The index behind the million-SU topology engine: cell size is tied to
-//! the d-clustering radius, so a "who is within `d` of me" query — the
-//! primitive under joins, head election, recruitment and backbone
-//! resolution — touches a constant-bounded ring of cells instead of
-//! rescanning the network.
+//! The index behind the interweave cluster pairing
+//! (`comimo_core::cluster_beam`): a "nearest unpaired node" query expands
+//! cell rings outward from the anchor instead of rescanning the cluster,
+//! so greedy pairing of K nodes costs O(K) expected instead of O(K²).
 //!
 //! Determinism contract: every cell keeps its entries **sorted by id**, so
 //! iteration order is a pure function of the current membership — never of
@@ -12,16 +11,13 @@
 //! distances, which makes the grid agree bit-for-bit with a brute-force
 //! O(N²) scan (property-tested in this module).
 
-/// One indexed point: an id (node id, cluster id, point index — the grid
-/// does not care) at an exact position.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GridEntry {
-    /// Caller-chosen identifier, unique per live entry.
-    pub id: u32,
-    /// Exact x coordinate (metres).
-    pub x: f64,
-    /// Exact y coordinate (metres).
-    pub y: f64,
+/// One indexed point: a caller-chosen id, unique per live entry, at an
+/// exact position (metres).
+#[derive(Debug, Clone)]
+struct GridEntry {
+    id: u32,
+    x: f64,
+    y: f64,
 }
 
 /// Uniform grid over `[origin, origin + extent]` with square cells.
@@ -33,18 +29,9 @@ pub struct SpatialGrid {
     cols: usize,
     rows: usize,
     cells: Vec<Vec<GridEntry>>,
-    len: usize,
 }
 
 impl SpatialGrid {
-    /// Grid over `[0, width] × [0, height]` with cells of `cell_m` a side.
-    ///
-    /// # Panics
-    /// If any dimension is non-finite or non-positive.
-    pub fn new(width_m: f64, height_m: f64, cell_m: f64) -> Self {
-        Self::covering(0.0, 0.0, width_m, height_m, cell_m)
-    }
-
     /// Grid covering `[min_x, max_x] × [min_y, max_y]`.
     ///
     /// # Panics
@@ -67,23 +54,7 @@ impl SpatialGrid {
             cols,
             rows,
             cells: vec![Vec::new(); cols * rows],
-            len: 0,
         }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the grid holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Cell side in metres.
-    pub fn cell_m(&self) -> f64 {
-        self.cell_m
     }
 
     fn col_of(&self, x: f64) -> usize {
@@ -101,7 +72,7 @@ impl SpatialGrid {
     /// Whether `(x, y)` lies inside the covered box (entries outside it
     /// would land in a clamped cell and break query exactness, so
     /// [`Self::insert`] rejects them).
-    pub fn contains_point(&self, x: f64, y: f64) -> bool {
+    fn contains_point(&self, x: f64, y: f64) -> bool {
         x.is_finite()
             && y.is_finite()
             && x >= self.origin_x
@@ -127,7 +98,6 @@ impl SpatialGrid {
             Err(at) => at,
         };
         cell.insert(at, GridEntry { id, x, y });
-        self.len += 1;
     }
 
     /// Removes `id`, which the caller asserts sits at `(x, y)` (the grid
@@ -142,65 +112,10 @@ impl SpatialGrid {
         match cell.binary_search_by_key(&id, |e| e.id) {
             Ok(at) => {
                 cell.remove(at);
-                self.len -= 1;
                 true
             }
             Err(_) => false,
         }
-    }
-
-    /// Moves `id` from `(old_x, old_y)` to `(new_x, new_y)`; O(1) when
-    /// both fall in the same cell.
-    ///
-    /// # Panics
-    /// If the entry is missing or the new point lies outside the box.
-    pub fn relocate(&mut self, id: u32, old_x: f64, old_y: f64, new_x: f64, new_y: f64) {
-        let old_ci = self.cell_index(old_x, old_y);
-        let new_ci = self.cell_index(new_x, new_y);
-        if old_ci == new_ci {
-            let cell = &mut self.cells[old_ci];
-            let at = cell
-                .binary_search_by_key(&id, |e| e.id)
-                .unwrap_or_else(|_| panic!("relocate of unknown grid id {id}"));
-            cell[at].x = new_x;
-            cell[at].y = new_y;
-            return;
-        }
-        assert!(
-            self.remove(id, old_x, old_y),
-            "relocate of unknown grid id {id}"
-        );
-        self.insert(id, new_x, new_y);
-    }
-
-    /// Calls `f` for every entry within `radius` of `(x, y)` (inclusive,
-    /// exact `f64` comparison on squared distance). Cells are visited
-    /// row-major and entries id-ascending within a cell, so the visit
-    /// order is deterministic.
-    pub fn for_each_within(&self, x: f64, y: f64, radius: f64, mut f: impl FnMut(&GridEntry)) {
-        let r2 = radius * radius;
-        let c_lo = self.col_of((x - radius).max(self.origin_x));
-        let c_hi = self.col_of((x + radius).max(self.origin_x));
-        let r_lo = self.row_of((y - radius).max(self.origin_y));
-        let r_hi = self.row_of((y + radius).max(self.origin_y));
-        for row in r_lo..=r_hi {
-            for col in c_lo..=c_hi {
-                for e in &self.cells[row * self.cols + col] {
-                    let (dx, dy) = (e.x - x, e.y - y);
-                    if dx * dx + dy * dy <= r2 {
-                        f(e);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Collects the ids within `radius` of `(x, y)` into `out` (cleared
-    /// first), sorted ascending — the canonical neighbour set.
-    pub fn neighbours_within(&self, x: f64, y: f64, radius: f64, out: &mut Vec<u32>) {
-        out.clear();
-        self.for_each_within(x, y, radius, |e| out.push(e.id));
-        out.sort_unstable();
     }
 
     /// Exact nearest entry to `(x, y)` among entries satisfying `pred`,
@@ -266,61 +181,34 @@ mod tests {
     use comimo_math::rng::derive;
     use rand::Rng;
 
-    fn brute_within(pts: &[(u32, f64, f64)], x: f64, y: f64, r: f64) -> Vec<u32> {
-        let mut out: Vec<u32> = pts
-            .iter()
-            .filter(|&&(_, px, py)| {
-                let (dx, dy) = (px - x, py - y);
-                dx * dx + dy * dy <= r * r
-            })
-            .map(|&(id, _, _)| id)
-            .collect();
-        out.sort_unstable();
-        out
+    fn grid(width_m: f64, height_m: f64, cell_m: f64) -> SpatialGrid {
+        SpatialGrid::covering(0.0, 0.0, width_m, height_m, cell_m)
     }
 
     #[test]
     fn insert_query_remove_roundtrip() {
-        let mut g = SpatialGrid::new(100.0, 100.0, 10.0);
+        let mut g = grid(100.0, 100.0, 10.0);
         g.insert(1, 5.0, 5.0);
         g.insert(2, 6.0, 5.0);
         g.insert(3, 95.0, 95.0);
-        let mut out = Vec::new();
-        g.neighbours_within(5.0, 5.0, 2.0, &mut out);
-        assert_eq!(out, vec![1, 2]);
+        assert_eq!(g.nearest_matching(6.0, 5.0, |_| true), Some((2, 0.0)));
         assert!(g.remove(2, 6.0, 5.0));
         assert!(!g.remove(2, 6.0, 5.0), "double remove is false");
-        g.neighbours_within(5.0, 5.0, 2.0, &mut out);
-        assert_eq!(out, vec![1]);
-        assert_eq!(g.len(), 2);
+        assert_eq!(g.nearest_matching(6.0, 5.0, |_| true), Some((1, 1.0)));
     }
 
     #[test]
     fn boundary_points_are_indexed() {
-        let mut g = SpatialGrid::new(100.0, 100.0, 10.0);
+        let mut g = grid(100.0, 100.0, 10.0);
         g.insert(7, 100.0, 100.0); // exactly on the far corner
         g.insert(8, 0.0, 0.0);
-        let mut out = Vec::new();
-        g.neighbours_within(99.0, 99.0, 2.0, &mut out);
-        assert_eq!(out, vec![7]);
+        assert_eq!(g.nearest_matching(99.0, 99.0, |_| true), Some((7, 2.0)));
         assert!(g.remove(7, 100.0, 100.0));
     }
 
     #[test]
-    fn relocate_moves_across_cells_and_within() {
-        let mut g = SpatialGrid::new(100.0, 100.0, 10.0);
-        g.insert(4, 5.0, 5.0);
-        g.relocate(4, 5.0, 5.0, 6.0, 6.0); // same cell
-        g.relocate(4, 6.0, 6.0, 55.0, 5.0); // different cell
-        let mut out = Vec::new();
-        g.neighbours_within(55.0, 5.0, 0.5, &mut out);
-        assert_eq!(out, vec![4]);
-        assert_eq!(g.len(), 1);
-    }
-
-    #[test]
     fn nearest_matching_uses_distance_then_id() {
-        let mut g = SpatialGrid::new(100.0, 100.0, 10.0);
+        let mut g = grid(100.0, 100.0, 10.0);
         g.insert(9, 10.0, 10.0);
         g.insert(3, 10.0, 30.0); // same distance from (10, 20) as id 9
         g.insert(5, 80.0, 80.0);
@@ -335,7 +223,7 @@ mod tests {
     fn nearest_matching_crosses_rings_exactly() {
         // a candidate in the adjacent ring is nearer than one in the
         // centre cell: the ring expansion must not stop at the first hit
-        let mut g = SpatialGrid::new(100.0, 100.0, 10.0);
+        let mut g = grid(100.0, 100.0, 10.0);
         g.insert(1, 11.0, 15.0); // centre cell of (19.5, 15): 8.5 away
         g.insert(2, 20.5, 15.0); // adjacent cell: only 1.0 away
         let (id, d2) = g.nearest_matching(19.5, 15.0, |_| true).unwrap();
@@ -344,41 +232,26 @@ mod tests {
 
     #[test]
     fn agrees_with_brute_force_under_churn() {
-        // deterministic randomized soak: joins, deaths and moves, with the
-        // canonical neighbour sets diffed against the O(N²) scan each step
+        // deterministic randomized soak: inserts and removals, with the
+        // nearest query diffed against a brute-force (d², id) argmin
+        // after every step
         let mut rng = derive(0xC0FFEE, 17);
         let (w, h, cell) = (200.0, 150.0, 12.5);
-        let mut g = SpatialGrid::new(w, h, cell);
+        let mut g = grid(w, h, cell);
         let mut live: Vec<(u32, f64, f64)> = Vec::new();
         let mut next_id = 0u32;
-        let mut out = Vec::new();
         for step in 0..600 {
-            match rng.gen_range(0..3u32) {
-                0 => {
-                    let (x, y) = (rng.gen_range(0.0..w), rng.gen_range(0.0..h));
-                    g.insert(next_id, x, y);
-                    live.push((next_id, x, y));
-                    next_id += 1;
-                }
-                1 if !live.is_empty() => {
-                    let at = rng.gen_range(0..live.len());
-                    let (id, x, y) = live.swap_remove(at);
-                    assert!(g.remove(id, x, y));
-                }
-                2 if !live.is_empty() => {
-                    let at = rng.gen_range(0..live.len());
-                    let (id, x, y) = live[at];
-                    let (nx, ny) = (rng.gen_range(0.0..w), rng.gen_range(0.0..h));
-                    g.relocate(id, x, y, nx, ny);
-                    live[at] = (id, nx, ny);
-                }
-                _ => {}
+            if live.is_empty() || rng.gen_range(0..3u32) != 0 {
+                let (x, y) = (rng.gen_range(0.0..w), rng.gen_range(0.0..h));
+                g.insert(next_id, x, y);
+                live.push((next_id, x, y));
+                next_id += 1;
+            } else {
+                let at = rng.gen_range(0..live.len());
+                let (id, x, y) = live.swap_remove(at);
+                assert!(g.remove(id, x, y));
             }
             let (qx, qy) = (rng.gen_range(0.0..w), rng.gen_range(0.0..h));
-            let r = rng.gen_range(0.0..40.0);
-            g.neighbours_within(qx, qy, r, &mut out);
-            assert_eq!(out, brute_within(&live, qx, qy, r), "step {step}");
-            // nearest query agrees with a brute-force (d², id) argmin
             let brute_nn = live
                 .iter()
                 .map(|&(id, px, py)| {
@@ -389,6 +262,5 @@ mod tests {
             let grid_nn = g.nearest_matching(qx, qy, |_| true);
             assert_eq!(grid_nn.map(|(id, d2)| (d2, id)), brute_nn, "step {step}");
         }
-        assert_eq!(g.len(), live.len());
     }
 }

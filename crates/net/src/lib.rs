@@ -27,11 +27,8 @@
 //! * fault-tolerant sensing-report collection at the cluster head, with
 //!   timeout, bounded-backoff retry and loss/stale/duplicate handling —
 //!   [`report`];
-//! * the **million-SU engine**: an SoA node store ([`store`]), a uniform
-//!   spatial hash-grid index with cell size tied to the d-clustering
-//!   radius ([`grid`]), and an incremental topology engine where joins,
-//!   deaths and PU arrivals touch only the affected cells —
-//!   [`topology`].
+//! * a uniform spatial hash-grid index with exact nearest-neighbour
+//!   queries, behind the interweave cluster pairing — [`grid`].
 
 pub mod cluster;
 pub mod comimonet;
@@ -39,20 +36,16 @@ pub mod graph;
 pub mod grid;
 pub mod lifetime;
 pub mod mac;
-pub mod mobility;
 pub mod node;
 pub mod recruit;
 pub mod report;
 pub mod routing;
-pub mod store;
-pub mod topology;
 
 pub use cluster::{d_clustering, try_elect_head, Cluster, ClusterError};
 pub use comimonet::CoMimoNet;
 pub use graph::SuGraph;
-pub use grid::{GridEntry, SpatialGrid};
+pub use grid::SpatialGrid;
 pub use lifetime::{run_lifetime, try_run_lifetime, LifetimeConfig, LifetimeError, LifetimeResult};
-pub use mobility::{MobileNetwork, MobilityError, RandomWaypoint, WaypointConfig};
 pub use node::SuNode;
 pub use recruit::{
     backoff_delay, run_recruitment, run_recruitment_excluding, RecruitConfig, RecruitOutcome,
@@ -61,7 +54,3 @@ pub use report::{
     collect_reports, try_collect_reports, ReportConfig, ReportError, ReportOutcome, Reporter,
 };
 pub use routing::{min_energy_route, EnergyRoute};
-pub use store::{NodeStore, StoreError, NO_CLUSTER};
-pub use topology::{
-    DeathImpact, JoinOutcome, TopoStats, TopologyConfig, TopologyEngine, TopologyError,
-};

@@ -47,9 +47,9 @@ impl LifetimeConfig {
     }
 }
 
-/// Why a lifetime run could not start. Kept typed so scale drivers (the
-/// chaos explorer, netperf churn harnesses) surface a bad endpoint as a
-/// value instead of an indexing panic mid-campaign.
+/// Why a lifetime run could not start. Kept typed so long-running
+/// callers surface a bad endpoint as a value instead of an indexing
+/// panic mid-campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LifetimeError {
     /// An endpoint id is outside the deployment.

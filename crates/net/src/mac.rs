@@ -153,9 +153,6 @@ pub struct CsmaSim {
     nodes: Vec<NodeState>,
     rng: SeededRng,
     stats: MacStats,
-    /// Optional PHY model: `phy_loss[src][dst]` is the probability a
-    /// collision-free frame is still lost to channel errors (CRC failure).
-    phy_loss: Option<Vec<Vec<f64>>>,
 }
 
 impl CsmaSim {
@@ -174,21 +171,7 @@ impl CsmaSim {
             nodes,
             rng: comimo_math::rng::seeded(seed),
             stats: MacStats::default(),
-            phy_loss: None,
         }
-    }
-
-    /// Installs a per-link PHY loss matrix: even collision-free frames
-    /// fail with probability `phy_loss[src][dst]` (a CRC failure at the
-    /// receiver), triggering the normal retransmission path. This is how
-    /// the full-stack experiments couple the MAC to the fading channel.
-    pub fn set_phy_loss(&mut self, phy_loss: Vec<Vec<f64>>) {
-        assert_eq!(phy_loss.len(), self.nodes.len());
-        for row in &phy_loss {
-            assert_eq!(row.len(), self.nodes.len());
-            assert!(row.iter().all(|p| (0.0..=1.0).contains(p)));
-        }
-        self.phy_loss = Some(phy_loss);
     }
 
     /// Offers a frame that arrives at its source's queue at time `at`.
@@ -312,11 +295,7 @@ impl CsmaSim {
                         self.stats.desyncs += 1;
                         continue;
                     };
-                    let phy_ok = match &self.phy_loss {
-                        Some(m) => !self.rng.gen_bool(m[frame.src][frame.dst]),
-                        None => true,
-                    };
-                    if phy_ok && outcome.delivered_to.contains(&frame.dst) {
+                    if outcome.delivered_to.contains(&frame.dst) {
                         self.nodes[node].queue.pop_front();
                         self.nodes[node].cw = self.cfg.cw_min;
                         self.nodes[node].retries = 0;
@@ -443,41 +422,17 @@ mod tests {
         assert_eq!(stats.delivered, 0);
         assert_eq!(stats.dropped, 1);
         assert_eq!(stats.attempts as u32, cfg().max_retries + 1);
-    }
-
-    #[test]
-    fn mean_latency_of_empty_stats_is_zero() {
-        let stats = MacStats::default();
-        assert_eq!(stats.mean_latency_s(), 0.0);
-        assert!(stats.mean_latency_s().is_finite());
-    }
-
-    #[test]
-    fn retry_exhaustion_counts_the_drop_exactly_once() {
-        // a fully lossy PHY on 0→1: every attempt CRC-fails, so the frame
-        // burns max_retries+1 attempts and is then dropped — once.
-        let mut sim = CsmaSim::new(vec![vec![1], vec![0]], cfg(), 7);
-        let mut phy = vec![vec![0.0; 2]; 2];
-        phy[0][1] = 1.0;
-        sim.set_phy_loss(phy);
-        sim.offer(MacFrame { src: 0, dst: 1 }, SimTime::ZERO);
-        let stats = sim.run(1_000_000);
-        assert_eq!(stats.delivered, 0);
-        assert_eq!(stats.dropped, 1);
-        assert_eq!(stats.attempts as u32, cfg().max_retries + 1);
         assert_eq!(stats.delivery_ratio(), 0.0);
         assert_eq!(stats.mean_latency_s(), 0.0);
     }
 
     #[test]
     fn retry_exhaustion_mixed_with_deliveries_keeps_the_ratio_honest() {
-        // 0→1 is dead, 2→1 is clean; delivery_ratio must account for the
-        // exhausted frame exactly once next to the delivered ones.
-        let adj = vec![vec![1, 2], vec![0, 2], vec![0, 1]];
+        // 1 is out of 0's range but hears 2; delivery_ratio must account
+        // for the exhausted 0→1 frame exactly once next to the delivered
+        // 2→1 ones.
+        let adj = vec![vec![2], vec![2], vec![0, 1]];
         let mut sim = CsmaSim::new(adj, cfg(), 11);
-        let mut phy = vec![vec![0.0; 3]; 3];
-        phy[0][1] = 1.0;
-        sim.set_phy_loss(phy);
         sim.offer(MacFrame { src: 0, dst: 1 }, SimTime::ZERO);
         for i in 0..3 {
             sim.offer(MacFrame { src: 2, dst: 1 }, SimTime::from_millis(i * 200));
@@ -486,6 +441,13 @@ mod tests {
         assert_eq!(stats.delivered, 3);
         assert_eq!(stats.dropped, 1);
         assert!((stats.delivery_ratio() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mean_latency_of_empty_stats_is_zero() {
+        let stats = MacStats::default();
+        assert_eq!(stats.mean_latency_s(), 0.0);
+        assert!(stats.mean_latency_s().is_finite());
     }
 
     #[test]

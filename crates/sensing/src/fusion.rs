@@ -16,7 +16,7 @@
 //! ```
 //!
 //! The first three rungs exist only on the soft path
-//! ([`fuse_soft_weighted`]/[`fuse_soft`]): when the head holds a
+//! ([`fuse_soft`]): when the head holds a
 //! [`ReputationView`] (Byzantine-resilient mode) each reporter's
 //! posterior is scaled by its trust weight and quarantined reporters
 //! are dropped *before* quorum-k re-derivation — on every rung, OR and
@@ -311,22 +311,15 @@ pub fn fuse(cfg: &FusionConfig, reports: &[bool], head_local: bool) -> FusionDec
 /// point for callers that track provenance, closing the duplicate
 /// quorum-inflation hole of bare [`fuse`]. Also returns the
 /// [`LadderEvidence`] the chaos invariants consume.
-pub fn fuse_reports(
-    cfg: &FusionConfig,
-    reports: &[(usize, bool)],
-    head_local: bool,
-) -> (FusionDecision, LadderEvidence) {
-    fuse_reports_weighted(cfg, reports, head_local, None)
-}
-
-/// [`fuse_reports`] under a reputation view: reports from quarantined
-/// reporters are dropped *before* dedup, so they can never count toward
-/// the re-derived quorum on any rung — the configured rule, the OR
+///
+/// Under a reputation view (`rep`), reports from quarantined reporters
+/// are dropped *before* dedup, so they can never count toward the
+/// re-derived quorum on any rung — the configured rule, the OR
 /// fallback, and (when everyone delivered is quarantined) the
 /// head-local rung all see only eligible reporters. The clean path has
 /// no weighted rung (there are no posteriors to scale), so the view
-/// only filters here.
-pub fn fuse_reports_weighted(
+/// only filters here; `None` fuses every reporter.
+pub fn fuse_reports(
     cfg: &FusionConfig,
     reports: &[(usize, bool)],
     head_local: bool,
@@ -351,9 +344,21 @@ pub fn fuse_reports_weighted(
 }
 
 /// Fuses soft reports decoded off the noisy long-haul, walking the full
-/// degradation ladder (without a reputation view — the weighted rung is
-/// never eligible here; see [`fuse_soft_weighted`]):
+/// degradation ladder:
 ///
+/// 0. **weighted LLR** — only with a [`ReputationView`] (`rep`, the
+///    Byzantine-resilient mode): quorum holds over the *eligible*
+///    (non-quarantined, distinct) reporters, and the posteriors are
+///    reliable: each reporter's posterior is scaled by its trust weight
+///    and the normalized vote `n·Σwᵢpᵢ/Σwᵢ` is compared to the same
+///    `k − ½` threshold as the unweighted rung. Under any *uniform*
+///    weight vector the normalization cancels exactly and the rung
+///    reproduces unweighted soft fusion count for count (the pinned
+///    oracle). While the view is **not yet converged** (cold start,
+///    near-prior weights), robust-median outlier rejection zeroes the
+///    weight of reports whose posterior sits far from the roster
+///    median — the guard that keeps an SSDF coalition from steering
+///    verdicts before reputation has evidence to separate it;
 /// 1. **soft LLR** — quorum holds *and* the mean decoder confidence is
 ///    at or above the rule's reliability floor: busy iff the summed
 ///    posteriors reach the re-derived `k`;
@@ -363,41 +368,11 @@ pub fn fuse_reports_weighted(
 /// 4. **head-local** — nothing arrived: the head decides alone.
 ///
 /// Reports are deduped to distinct reporters first (first report wins),
-/// so a duplicate can never inflate the re-derived quorum. Total: never
-/// panics, never divides by a zero reporter count.
+/// so a duplicate can never inflate the re-derived quorum. Quarantined
+/// reporters are dropped *before* dedup and quorum-k re-derivation on
+/// every rung; with everyone quarantined the head decides alone. Total:
+/// never panics, never divides by a zero reporter count.
 pub fn fuse_soft(
-    cfg: &FusionConfig,
-    reports: &[(usize, SoftReport)],
-    head_local: bool,
-) -> (FusionDecision, LadderEvidence) {
-    fuse_soft_weighted(cfg, reports, head_local, None)
-}
-
-/// [`fuse_soft`] with an optional [`ReputationView`] — the
-/// Byzantine-resilient entry point, adding the weighted rung on top of
-/// the ladder:
-///
-/// 0. **weighted LLR** — a view is held, quorum holds over the
-///    *eligible* (non-quarantined, distinct) reporters, and the
-///    posteriors are reliable: each reporter's posterior is scaled by
-///    its trust weight and the normalized vote `n·Σwᵢpᵢ/Σwᵢ` is
-///    compared to the same `k − ½` threshold as the unweighted rung.
-///    Under any *uniform* weight vector the normalization cancels
-///    exactly and the rung reproduces unweighted soft fusion count for
-///    count (the pinned oracle). While the view is **not yet
-///    converged** (cold start, near-prior weights), robust-median
-///    outlier rejection zeroes the weight of reports whose posterior
-///    sits far from the roster median — the guard that keeps an
-///    SSDF coalition from steering verdicts before reputation has
-///    evidence to separate it;
-///
-/// Rungs 1–5 fall back to the unweighted ladder of [`fuse_soft`], over
-/// eligible reporters only.
-///
-/// Quarantined reporters are dropped *before* dedup and quorum-k
-/// re-derivation on every rung; with everyone quarantined the head
-/// decides alone. Total: never panics, never divides by zero.
-pub fn fuse_soft_weighted(
     cfg: &FusionConfig,
     reports: &[(usize, SoftReport)],
     head_local: bool,
@@ -645,7 +620,7 @@ mod tests {
         // the configured rung — a single distinct reporter must walk
         // the OR fallback instead
         let cfg = FusionConfig::paper();
-        let (d, ev) = fuse_reports(&cfg, &[(4, true), (4, true), (4, true)], false);
+        let (d, ev) = fuse_reports(&cfg, &[(4, true), (4, true), (4, true)], false, None);
         assert_eq!(ev.n_raw, 3);
         assert_eq!(ev.n_distinct, 1);
         assert_eq!(d.rule_used, RuleUsed::OrFallback);
@@ -653,7 +628,7 @@ mod tests {
         assert!(d.quorum <= ev.n_distinct, "k must never exceed distinct");
         // first report per reporter wins; a later contradicting dupe is
         // discarded: majority over [(0,true),(1,false)] has k = 1 → busy
-        let (d, _) = fuse_reports(&cfg, &[(0, true), (1, false), (0, false)], false);
+        let (d, _) = fuse_reports(&cfg, &[(0, true), (1, false), (0, false)], false, None);
         assert_eq!(d.reports_used, 2);
         assert_eq!(d.rule_used, RuleUsed::Configured);
         assert!(d.busy, "the late duplicate must not overwrite reporter 0");
@@ -661,6 +636,7 @@ mod tests {
             &FusionConfig::paper_llr(0.6),
             &[(7, soft(50.0)), (7, soft(50.0))],
             false,
+            None,
         );
         assert_eq!(soft_ev.n_distinct, 1);
         assert_eq!(soft_d.rule_used, RuleUsed::OrFallback);
@@ -673,6 +649,7 @@ mod tests {
             &cfg,
             &[(0, soft(40.0)), (1, soft(35.0)), (2, soft(-42.0))],
             false,
+            None,
         );
         assert_eq!(d.rule_used, RuleUsed::LlrSoft);
         assert_eq!(ev.rung, RuleUsed::LlrSoft);
@@ -692,6 +669,7 @@ mod tests {
             &cfg,
             &[(0, soft(0.2)), (1, soft(0.2)), (2, soft(-0.1))],
             false,
+            None,
         );
         assert_eq!(d.rule_used, RuleUsed::HardDecode);
         assert!(ev.mean_confidence < 0.9);
@@ -702,10 +680,10 @@ mod tests {
     #[test]
     fn sub_quorum_soft_rounds_use_the_or_fallback() {
         let cfg = FusionConfig::paper_llr(0.9);
-        let (d, _) = fuse_soft(&cfg, &[(3, soft(100.0))], false);
+        let (d, _) = fuse_soft(&cfg, &[(3, soft(100.0))], false, None);
         assert_eq!(d.rule_used, RuleUsed::OrFallback);
         assert!(d.busy);
-        let (d, _) = fuse_soft(&cfg, &[(3, soft(-100.0))], true);
+        let (d, _) = fuse_soft(&cfg, &[(3, soft(-100.0))], true, None);
         assert_eq!(d.rule_used, RuleUsed::OrFallback);
         assert!(!d.busy, "OR fallback ignores the head-local bit");
     }
@@ -714,7 +692,7 @@ mod tests {
     fn empty_soft_rounds_fall_back_to_head_local() {
         let cfg = FusionConfig::paper_llr(0.9);
         for head_local in [false, true] {
-            let (d, ev) = fuse_soft(&cfg, &[], head_local);
+            let (d, ev) = fuse_soft(&cfg, &[], head_local, None);
             assert_eq!(d.rule_used, RuleUsed::HeadLocal);
             assert_eq!(d.busy, head_local);
             assert_eq!(ev.mean_confidence, 0.0);
@@ -744,7 +722,7 @@ mod tests {
                 })
                 .collect();
             let bits: Vec<bool> = (0..5).map(|i| mask & (1 << i) != 0).collect();
-            let (soft_d, ev) = fuse_soft(&soft_cfg, &softs, false);
+            let (soft_d, ev) = fuse_soft(&soft_cfg, &softs, false, None);
             let hard_d = fuse(&hard_cfg, &bits, false);
             assert_eq!(soft_d.rule_used, RuleUsed::LlrSoft);
             assert_eq!(ev.mean_confidence, 1.0);
@@ -760,7 +738,12 @@ mod tests {
         // hard-decode even at perfect confidence
         let cfg = FusionConfig::paper();
         assert_eq!(cfg.reliability_floor(), f64::INFINITY);
-        let (d, _) = fuse_soft(&cfg, &[(0, soft(f64::INFINITY)), (1, soft(80.0))], false);
+        let (d, _) = fuse_soft(
+            &cfg,
+            &[(0, soft(f64::INFINITY)), (1, soft(80.0))],
+            false,
+            None,
+        );
         assert_eq!(d.rule_used, RuleUsed::HardDecode);
         assert!(d.busy);
     }
@@ -783,8 +766,8 @@ mod tests {
                         (i, soft(if bit { scale } else { -scale }))
                     })
                     .collect();
-                let (unweighted, _) = fuse_soft(&cfg, &softs, false);
-                let (weighted, ev) = fuse_soft_weighted(&cfg, &softs, false, Some(&view));
+                let (unweighted, _) = fuse_soft(&cfg, &softs, false, None);
+                let (weighted, ev) = fuse_soft(&cfg, &softs, false, Some(&view));
                 if unweighted.rule_used == RuleUsed::LlrSoft {
                     assert_eq!(weighted.rule_used, RuleUsed::WeightedLlr);
                     assert!(ev.weighted);
@@ -815,7 +798,7 @@ mod tests {
         // clean configured rung: 4 raw reporters, 3 eligible → k over 3
         let cfg = FusionConfig::paper();
         let all = [(0, true), (1, true), (2, false), (3, false)];
-        let (d, ev) = fuse_reports_weighted(&cfg, &all, false, Some(&view));
+        let (d, ev) = fuse_reports(&cfg, &all, false, Some(&view));
         assert_eq!(ev.n_distinct, 3);
         assert_eq!(ev.n_quarantined, 1);
         assert_eq!(d.rule_used, RuleUsed::Configured);
@@ -824,13 +807,13 @@ mod tests {
 
         // OR fallback: only the quarantined vandal and one honest idle
         // arrive — the vandal's busy vote must not exist
-        let (d, ev) = fuse_reports_weighted(&cfg, &[(3, true), (0, false)], false, Some(&view));
+        let (d, ev) = fuse_reports(&cfg, &[(3, true), (0, false)], false, Some(&view));
         assert_eq!(d.rule_used, RuleUsed::OrFallback);
         assert_eq!(ev.n_distinct, 1);
         assert!(!d.busy, "the quarantined busy vote must be dropped");
 
         // head-local: everyone delivered is quarantined
-        let (d, ev) = fuse_reports_weighted(&cfg, &[(3, true)], false, Some(&view));
+        let (d, ev) = fuse_reports(&cfg, &[(3, true)], false, Some(&view));
         assert_eq!(d.rule_used, RuleUsed::HeadLocal);
         assert_eq!(d.reports_used, 0);
         assert_eq!(ev.n_quarantined, 1);
@@ -838,7 +821,7 @@ mod tests {
 
         // and the soft path walks the same exclusions
         let soft_cfg = FusionConfig::paper_llr(0.6);
-        let (d, ev) = fuse_soft_weighted(
+        let (d, ev) = fuse_soft(
             &soft_cfg,
             &[(3, soft(60.0)), (0, soft(-50.0))],
             false,
@@ -847,7 +830,7 @@ mod tests {
         assert_eq!(d.rule_used, RuleUsed::OrFallback);
         assert_eq!(ev.n_distinct, 1);
         assert!(!d.busy);
-        let (d, _) = fuse_soft_weighted(&soft_cfg, &[(3, soft(60.0))], true, Some(&view));
+        let (d, _) = fuse_soft(&soft_cfg, &[(3, soft(60.0))], true, Some(&view));
         assert_eq!(d.rule_used, RuleUsed::HeadLocal);
         assert!(d.busy, "with everyone quarantined the head decides alone");
     }
@@ -872,7 +855,7 @@ mod tests {
             (3, soft(-60.0)),
             (4, soft(-60.0)),
         ];
-        let (unweighted, _) = fuse_soft(&cfg, &reports, false);
+        let (unweighted, _) = fuse_soft(&cfg, &reports, false, None);
         assert!(!unweighted.busy, "3 honest of 5 under k = 4 must miss");
         // a fresh (unconverged) tracker view: uniform prior weights
         let tracker = crate::reputation::ReputationTracker::new(
@@ -881,7 +864,7 @@ mod tests {
         );
         let view = tracker.view();
         assert!(!view.converged());
-        let (guarded, ev) = fuse_soft_weighted(&cfg, &reports, false, Some(&view));
+        let (guarded, ev) = fuse_soft(&cfg, &reports, false, Some(&view));
         assert_eq!(guarded.rule_used, RuleUsed::WeightedLlr);
         assert!(guarded.busy, "the median cut must zero the outliers");
         assert_eq!(ev.n_quarantined, 0, "cold start quarantines nobody");
@@ -905,7 +888,7 @@ mod tests {
         }
         let view = t.view();
         assert!(view.converged());
-        let (weighted, ev) = fuse_soft_weighted(&cfg, &reports, false, Some(&view));
+        let (weighted, ev) = fuse_soft(&cfg, &reports, false, Some(&view));
         assert!(weighted.busy, "converged weights must restore detection");
         assert_eq!(ev.n_quarantined, 2, "the vandals are quarantined by now");
         assert_eq!(ev.n_distinct, 3);
@@ -968,7 +951,7 @@ mod proptests {
             }
         }
 
-        /// `fuse_soft_weighted` is total and always lands on the *first*
+        /// `fuse_soft` is total and always lands on the *first*
         /// eligible rung of the ladder — the structural property
         /// `INV-LLR-DEGRADE-ORDER` pins at the world level. With a
         /// uniform converged view the decision bit matches unweighted
@@ -1001,7 +984,7 @@ mod proptests {
                 .collect();
             let view = crate::reputation::ReputationView::uniform_converged(6);
             let rep = if use_view { Some(&view) } else { None };
-            let (d, ev) = fuse_soft_weighted(&cfg, &softs, true, rep);
+            let (d, ev) = fuse_soft(&cfg, &softs, true, rep);
             prop_assert!(ev.soft_path);
             prop_assert_eq!(ev.weighted, use_view);
             prop_assert_eq!(ev.n_quarantined, 0);
@@ -1027,7 +1010,7 @@ mod proptests {
             // the uniform converged view is the pinned oracle: the
             // weighted walk must agree with the unweighted one bit for
             // bit on every field but the rung name
-            let (du, evu) = fuse_soft(&cfg, &softs, true);
+            let (du, evu) = fuse_soft(&cfg, &softs, true, None);
             prop_assert_eq!(d.busy, du.busy);
             prop_assert_eq!(d.quorum, du.quorum);
             prop_assert_eq!(d.reports_used, du.reports_used);

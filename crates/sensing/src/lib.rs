@@ -44,8 +44,8 @@ pub mod round;
 pub use byz::{byz_shard_counts, run_byz_campaign, ByzCell, ByzError, ByzSweepSpec};
 pub use detector::EnergyDetector;
 pub use fusion::{
-    fuse, fuse_reports, fuse_reports_weighted, fuse_soft, fuse_soft_weighted, fused_positive_prob,
-    quorum_of, FusionConfig, FusionDecision, FusionRule, LadderEvidence, RuleUsed,
+    fuse, fuse_reports, fuse_soft, fused_positive_prob, quorum_of, FusionConfig, FusionDecision,
+    FusionRule, LadderEvidence, RuleUsed,
 };
 pub use markov::MarkovOnOff;
 pub use reputation::{

@@ -263,7 +263,7 @@ impl ReputationTracker {
 }
 
 /// A read-only snapshot of the tracker at one instant: what
-/// [`crate::fusion::fuse_soft_weighted`] scales LLRs and filters
+/// [`crate::fusion::fuse_soft`] scales LLRs and filters
 /// eligibility with. Off-roster reporters get the neutral prior weight
 /// and are eligible — the view never invents exclusions.
 #[derive(Debug, Clone, PartialEq, Serialize)]

@@ -20,7 +20,7 @@
 //! finite report SNRs expose the long-haul's erosion.
 
 use crate::detector::EnergyDetector;
-use crate::fusion::{fuse_soft_weighted, quorum_of, FusionConfig, FusionRule};
+use crate::fusion::{fuse_soft, quorum_of, FusionConfig, FusionRule};
 use crate::reputation::ReputationView;
 use comimo_campaign::{
     fingerprint64, run_campaign_multi, CampaignConfig, CampaignError, CampaignReport,
@@ -231,7 +231,7 @@ pub fn roc_shard_counts_with_view(
                         transmit_report_word(bit, 1.0, &word, &long_haul, &mut report_rng),
                     ));
                 }
-                let (decision, _) = fuse_soft_weighted(&fusion, &reports, false, rep);
+                let (decision, _) = fuse_soft(&fusion, &reports, false, rep);
                 if decision.busy {
                     positives += 1;
                 }

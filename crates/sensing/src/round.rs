@@ -20,9 +20,7 @@
 //! count for count (`oracle_equivalence` test below).
 
 use crate::detector::EnergyDetector;
-use crate::fusion::{
-    fuse_reports_weighted, fuse_soft_weighted, FusionConfig, FusionDecision, LadderEvidence,
-};
+use crate::fusion::{fuse_reports, fuse_soft, FusionConfig, FusionDecision, LadderEvidence};
 use crate::reputation::ReputationView;
 use comimo_channel::BlockRayleigh;
 use comimo_faults::byzantine::ReportOverride;
@@ -324,8 +322,7 @@ pub fn run_round_byz(
             })
             .collect();
         let out = try_collect_reports(&reporters, &cfg.transport, seed, round)?;
-        let (decision, ladder) =
-            fuse_reports_weighted(&cfg.fusion, &out.delivered, head_local, rep);
+        let (decision, ladder) = fuse_reports(&cfg.fusion, &out.delivered, head_local, rep);
         let summaries: Vec<ReportSummary> = out
             .delivered
             .iter()
@@ -382,7 +379,7 @@ pub fn run_round_byz(
         })
         .collect();
     let out = try_collect_reports(&reporters, &cfg.transport, seed, round)?;
-    let (decision, ladder) = fuse_soft_weighted(&cfg.fusion, &out.delivered, head_local, rep);
+    let (decision, ladder) = fuse_soft(&cfg.fusion, &out.delivered, head_local, rep);
     let summaries: Vec<ReportSummary> = out
         .delivered
         .iter()

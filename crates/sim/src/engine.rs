@@ -129,19 +129,6 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Timestamp of the next live event without popping it. Cancelled
-    /// entries at the head are discarded from the heap.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if !self.live.contains(&entry.seq) {
-                self.heap.pop();
-                continue;
-            }
-            return Some(entry.at);
-        }
-        None
-    }
-
     /// Number of live events still queued.
     pub fn len(&self) -> usize {
         self.live.len()
@@ -343,14 +330,5 @@ mod tests {
                 (SimTime::from_nanos(5), SimTime::from_nanos(9)),
             ]
         );
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_nanos(5), 1);
-        q.schedule_at(SimTime::from_nanos(9), 2);
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(9)));
     }
 }

@@ -13,18 +13,12 @@
 //! * [`medium::Medium`] — a shared broadcast medium over an arbitrary
 //!   adjacency relation with carrier sensing and collision detection
 //!   (two overlapping transmissions audible at the same receiver destroy
-//!   each other there);
-//! * [`sharded::ShardedEventQueue`] — the million-SU scheduler: the
-//!   queue sharded by spatial region with a canonical
-//!   `(time, shard, unit, seq)` cross-shard order, bit-identical whether
-//!   slots drain serially or on the rayon pool (`parallel` feature).
+//!   each other there).
 
 pub mod engine;
 pub mod medium;
-pub mod sharded;
 pub mod time;
 
 pub use engine::{EventId, EventQueue, StepProbe};
 pub use medium::{Medium, TxId, TxOutcome, UnknownTxId};
-pub use sharded::{map_shards, ShardKey, ShardedEventQueue};
 pub use time::SimTime;
