@@ -19,15 +19,15 @@ use comimo_net::comimonet::ForwardPolicy;
 use comimo_net::graph::SuGraph;
 use comimo_net::node::random_deployment;
 
-/// ē_b inversion: deterministic quadrature vs Monte-Carlo (DESIGN.md §5,
+/// ē_b inversion: exact MRC closed form vs Monte-Carlo (DESIGN.md §5,
 /// "ablate_ebar").
 fn ablate_ebar(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablate_ebar");
     g.sample_size(10);
-    let quad = EbarSolver::paper();
+    let closed = EbarSolver::paper();
     let mc = EbarSolver::monte_carlo(20_000, 7);
-    g.bench_function("quadrature", |b| {
-        b.iter(|| black_box(quad.solve(black_box(1e-3), 2, 2, 3)));
+    g.bench_function("closed_form", |b| {
+        b.iter(|| black_box(closed.solve(black_box(1e-3), 2, 2, 3)));
     });
     g.bench_function("monte_carlo_20k", |b| {
         b.iter(|| black_box(mc.solve(black_box(1e-3), 2, 2, 3)));

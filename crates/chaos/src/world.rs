@@ -236,7 +236,8 @@ pub struct ChaosWorld {
 
 impl ChaosWorld {
     /// Precomputes every config-derived analysis (the expensive part —
-    /// amortise it across runs).
+    /// amortise it across runs). Its `ē_b` solves hit the process-wide
+    /// cache after the first world, so construction costs about 1 ms.
     pub fn new(cfg: &ChaosConfig) -> Self {
         let model = EnergyModel::paper();
         let ov = Overlay::new(

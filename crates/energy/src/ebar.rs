@@ -1,5 +1,5 @@
-//! Numerical inversion of the paper's equations (5)–(6): the required
-//! received symbol energy `ē_b(p, b, mt, mr)`.
+//! Inversion of the paper's equations (5)–(6): the required received
+//! symbol energy `ē_b(p, b, mt, mr)`.
 //!
 //! The forward map is
 //!
@@ -9,13 +9,12 @@
 //!
 //! with `BER_b(γ) = (4/b)(1 − 2^{−b/2})·Q(√(3b/(M−1)·γ))` for `b ≥ 2`
 //! (equation (5)) and `BER_1(γ) = Q(√(2γ))` (equation (6)). For `H` with
-//! i.i.d. `CN(0,1)` entries, `‖H‖_F² ∼ Gamma(mt·mr, 1)`, so the channel
-//! average is a one-dimensional Gamma-weighted integral evaluated by
-//! deterministic adaptive quadrature; `ē` is then found by bisection in
-//! log-space (the forward map is strictly decreasing in `ē`).
+//! i.i.d. `CN(0,1)` entries, `‖H‖_F² ∼ Gamma(L, 1)` with integer diversity
+//! order `L = mt·mr`, so the channel average is the exact MRC closed form
+//! over Rayleigh fading ([`average_ber`]); `ē` is then found by bisection
+//! in log-space (the forward map is strictly decreasing in `ē`).
 
 use crate::constants::SystemConstants;
-use comimo_math::quad::gamma_expectation;
 use comimo_math::roots::bisect_monotone_decreasing;
 use comimo_math::special::q_function;
 use serde::{Deserialize, Serialize};
@@ -25,40 +24,56 @@ use serde::{Deserialize, Serialize};
 pub fn instantaneous_ber(b: u32, gamma_b: f64) -> f64 {
     assert!(b >= 1, "b must be at least 1");
     assert!(gamma_b >= 0.0);
+    let (a, kappa) = kernel(b);
+    a * q_function((kappa * gamma_b).sqrt())
+}
+
+/// The BER kernel `a·Q(√(κ·γ))` of equations (5)–(6): `a = 1, κ = 2` for
+/// `b = 1`, `a = (4/b)(1 − 2^{−b/2})` and `κ = 3b/(2^b − 1)` for `b ≥ 2`.
+fn kernel(b: u32) -> (f64, f64) {
     if b == 1 {
-        return q_function((2.0 * gamma_b).sqrt());
+        return (1.0, 2.0);
     }
     let bf = b as f64;
     let m = 2f64.powi(b as i32);
-    4.0 / bf * (1.0 - 2f64.powf(-bf / 2.0)) * q_function((3.0 * bf / (m - 1.0) * gamma_b).sqrt())
+    (
+        4.0 / bf * (1.0 - 2f64.powf(-bf / 2.0)),
+        3.0 * bf / (m - 1.0),
+    )
 }
 
-/// Deterministic forward map: average BER over the Rayleigh channel for an
-/// `mt × mr` STBC link at received symbol energy `ebar` (J) and noise PSD
-/// `n0` (J).
-pub fn average_ber(ebar: f64, b: u32, mt: usize, mr: usize, n0: f64, tol: f64) -> f64 {
+/// Forward map: average BER over the Rayleigh channel for an `mt × mr`
+/// STBC link at received symbol energy `ebar` (J) and noise PSD `n0` (J).
+///
+/// Exact MRC closed form for diversity order `L = mt·mr`:
+/// `a·((1−μ)/2)^L·Σ_{k<L} C(L−1+k, k)·((1+μ)/2)^k` with
+/// `γ̄ = κ·ē/(2·N0·mt)` and `μ = √(γ̄/(1+γ̄))`. `1 − μ` is evaluated as
+/// `1/((1+γ̄)(1+μ))` so the high-SNR tail keeps full relative precision.
+pub fn average_ber(ebar: f64, b: u32, mt: usize, mr: usize, n0: f64) -> f64 {
     assert!(ebar >= 0.0 && n0 > 0.0);
     assert!(mt >= 1 && mr >= 1);
-    if ebar == 0.0 {
-        // zero energy: BER saturates at its coin-flip style ceiling
-        return instantaneous_ber(b, 0.0);
+    let (a, kappa) = kernel(b);
+    let l = mt * mr;
+    let gamma_bar = kappa * ebar / (2.0 * n0 * mt as f64);
+    let mu = (gamma_bar / (1.0 + gamma_bar)).sqrt();
+    let lo = 0.5 / ((1.0 + gamma_bar) * (1.0 + mu));
+    let hi = 0.5 * (1.0 + mu);
+    // term_k = C(L−1+k, k)·lo^L·hi^k, built incrementally so neither the
+    // binomial nor the power overflows on its own
+    let mut term = lo.powi(l as i32);
+    let mut sum = term;
+    for k in 1..l {
+        term *= (l - 1 + k) as f64 / k as f64 * hi;
+        sum += term;
     }
-    let k = (mt * mr) as f64;
-    let scale = ebar / (n0 * mt as f64);
-    gamma_expectation(k, |g| instantaneous_ber(b, g * scale), tol)
-}
-
-/// Closed-form check for the `b = 1` (or `b = 2`, same kernel), SISO case:
-/// `E{Q(√(2cγ))}` over `γ ∼ Exp(1)` is `½(1 − √(cγ̄/(1+cγ̄)))`.
-pub fn siso_rayleigh_ber_closed_form(gamma_bar: f64) -> f64 {
-    0.5 * (1.0 - (gamma_bar / (1.0 + gamma_bar)).sqrt())
+    a * sum
 }
 
 /// How `ē_b` is evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EbarMethod {
-    /// Deterministic Gamma quadrature (default; reproducible).
-    Quadrature,
+    /// Exact MRC closed form (default; deterministic).
+    ClosedForm,
     /// Monte-Carlo channel averaging (cross-validation / ablation).
     MonteCarlo {
         /// Number of channel draws per forward evaluation.
@@ -73,8 +88,6 @@ pub enum EbarMethod {
 pub struct EbarSolver {
     /// Noise PSD `N0` in joules (paper: −171 dBm/Hz).
     pub n0: f64,
-    /// Quadrature tolerance for the channel average.
-    pub quad_tol: f64,
     /// Relative log-space tolerance on `ē_b`.
     pub root_tol: f64,
     /// Evaluation method.
@@ -85,15 +98,14 @@ impl Default for EbarSolver {
     fn default() -> Self {
         Self {
             n0: SystemConstants::paper().n0,
-            quad_tol: 1e-12,
             root_tol: 1e-10,
-            method: EbarMethod::Quadrature,
+            method: EbarMethod::ClosedForm,
         }
     }
 }
 
 impl EbarSolver {
-    /// A solver with the paper's `N0` and deterministic quadrature.
+    /// A solver with the paper's `N0` and the exact closed form.
     pub fn paper() -> Self {
         Self::default()
     }
@@ -109,7 +121,7 @@ impl EbarSolver {
     /// Forward map `p(ē)` under the configured method.
     pub fn forward(&self, ebar: f64, b: u32, mt: usize, mr: usize) -> f64 {
         match self.method {
-            EbarMethod::Quadrature => average_ber(ebar, b, mt, mr, self.n0, self.quad_tol),
+            EbarMethod::ClosedForm => average_ber(ebar, b, mt, mr, self.n0),
             EbarMethod::MonteCarlo { samples, seed } => {
                 let mut rng = comimo_math::rng::derive(seed, pack(b, mt, mr));
                 let k = (mt * mr) as f64;
@@ -139,7 +151,7 @@ impl EbarSolver {
         );
         // seed the search at the AWGN (no-fading) requirement, which is
         // always below the fading requirement
-        let seed = awgn_seed(p, b, self.n0, mt);
+        let seed = awgn_seed(p, b, self.n0);
         let root =
             bisect_monotone_decreasing(|e| self.forward(e, b, mt, mr), p, seed, self.root_tol, 80)
                 .expect("ebar bracket not found: forward map not monotone?");
@@ -150,20 +162,11 @@ impl EbarSolver {
 /// AWGN-only energy requirement used as the bisection seed: invert
 /// `BER_b(γ) = p` for the deterministic channel with `‖H‖² = mt·1`
 /// (so `γ = ē/(N0)`).
-fn awgn_seed(p: f64, b: u32, n0: f64, _mt: usize) -> f64 {
+fn awgn_seed(p: f64, b: u32, n0: f64) -> f64 {
     use comimo_math::special::q_function_inv;
-    let gamma = if b == 1 {
-        let x = q_function_inv(p.min(0.49));
-        x * x / 2.0
-    } else {
-        let bf = b as f64;
-        let m = 2f64.powi(b as i32);
-        let coef = 4.0 / bf * (1.0 - 2f64.powf(-bf / 2.0));
-        let q = (p / coef).min(0.49);
-        let x = q_function_inv(q);
-        x * x * (m - 1.0) / (3.0 * bf)
-    };
-    (gamma * n0).max(1e-24)
+    let (a, kappa) = kernel(b);
+    let x = q_function_inv((p / a).min(0.49));
+    (x * x / kappa * n0).max(1e-24)
 }
 
 fn pack(b: u32, mt: usize, mr: usize) -> u64 {
@@ -173,6 +176,24 @@ fn pack(b: u32, mt: usize, mr: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Test oracle: the channel average by adaptive Simpson over the
+    /// `Gamma(mt·mr, 1)` density (absolute tolerance 1e-12). Valid only
+    /// where the BER is well above that tolerance.
+    fn quadrature_oracle(ebar: f64, b: u32, mt: usize, mr: usize, n0: f64) -> f64 {
+        let k = (mt * mr) as f64;
+        let scale = ebar / (n0 * mt as f64);
+        comimo_math::quad::gamma_expectation(k, |g| instantaneous_ber(b, g * scale), 1e-12)
+    }
+
+    /// Every `b ≤ 16` and `mt, mr ≤ 4` at each target BER in `bers`.
+    fn grid(bers: &[f64]) -> impl Iterator<Item = (f64, u32, usize, usize)> + '_ {
+        bers.iter().flat_map(|&p| {
+            (1..=16u32).flat_map(move |b| {
+                (1..=4usize).flat_map(move |mt| (1..=4usize).map(move |mr| (p, b, mt, mr)))
+            })
+        })
+    }
 
     #[test]
     fn forward_monotone_decreasing_in_energy() {
@@ -190,16 +211,60 @@ mod tests {
     }
 
     #[test]
-    fn siso_matches_closed_form() {
-        // for b=2 the kernel is Q(sqrt(2γ_b)): SISO average has closed form
+    fn siso_matches_textbook_rayleigh_average() {
+        // for b=2 the kernel is Q(sqrt(2γ_b)): the SISO average over
+        // γ ~ Exp(γ̄) is ½(1 − √(γ̄/(1+γ̄)))
         let s = EbarSolver::paper();
         for &gamma_bar in &[1.0, 10.0, 100.0, 249.0] {
-            let ebar = gamma_bar * s.n0;
-            let got = s.forward(ebar, 2, 1, 1);
-            let expect = siso_rayleigh_ber_closed_form(gamma_bar);
+            let got = s.forward(gamma_bar * s.n0, 2, 1, 1);
+            let expect = 0.5 * (1.0 - (gamma_bar / (1.0 + gamma_bar)).sqrt());
             assert!(
-                (got - expect).abs() / expect < 1e-6,
+                (got - expect).abs() / expect < 1e-12,
                 "γ̄={gamma_bar}: {got} vs {expect}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_energy_hits_the_ceiling() {
+        for b in [1u32, 2, 5, 16] {
+            for (mt, mr) in [(1, 1), (2, 3), (4, 4)] {
+                let got = average_ber(0.0, b, mt, mr, 1e-20);
+                let ceiling = instantaneous_ber(b, 0.0);
+                assert!((got - ceiling).abs() < 1e-15, "b={b} {mt}x{mr}: {got}");
+            }
+        }
+    }
+
+    /// The two high-SNR cases where the quadrature collapsed: the closed
+    /// form gives the exact tail, the oracle underflows to noise.
+    #[test]
+    fn high_snr_tail_is_exact() {
+        let n0 = SystemConstants::paper().n0;
+        for &(ebar, b, mt, mr, exact) in &[
+            (1.58e-18, 1u32, 1usize, 2usize, 4.70e-6),
+            (7.5e-18, 4, 2, 1, 3.91e-6),
+        ] {
+            let got = average_ber(ebar, b, mt, mr, n0);
+            assert!(
+                (got - exact).abs() / exact < 5e-3,
+                "b={b} {mt}x{mr}: {got:e} vs {exact:e}"
+            );
+            let quad = quadrature_oracle(ebar, b, mt, mr, n0);
+            assert!(quad < 1e-13, "oracle no longer collapses: {quad:e}");
+        }
+    }
+
+    #[test]
+    fn closed_form_matches_quadrature_where_it_is_valid() {
+        let s = EbarSolver::paper();
+        for (p, b, mt, mr) in grid(&[1e-5, 1e-4, 1e-3, 1e-2, 0.1]) {
+            let e = s.solve(p, b, mt, mr);
+            let closed = s.forward(e, b, mt, mr);
+            let quad = quadrature_oracle(e, b, mt, mr, s.n0);
+            assert!(
+                (closed - quad).abs() / closed <= 1e-7,
+                "p={p} b={b} {mt}x{mr}: closed {closed:e} vs quadrature {quad:e}"
             );
         }
     }
@@ -231,17 +296,16 @@ mod tests {
     }
 
     #[test]
-    fn solve_roundtrip() {
+    fn solve_roundtrip_over_the_full_range() {
         let s = EbarSolver::paper();
-        for &(p, b, mt, mr) in &[
-            (0.005, 1u32, 1usize, 1usize),
-            (0.001, 2, 2, 2),
-            (0.0005, 4, 3, 1),
-            (0.01, 6, 1, 3),
-        ] {
+        let bers: Vec<f64> = (0..=11).map(|i| 0.1 * 10f64.powi(-i)).collect();
+        for (p, b, mt, mr) in grid(&bers) {
             let e = s.solve(p, b, mt, mr);
             let back = s.forward(e, b, mt, mr);
-            assert!((back - p).abs() / p < 1e-6, "roundtrip {back} vs {p}");
+            assert!(
+                (back - p).abs() / p <= 1e-9,
+                "p={p} b={b} {mt}x{mr}: roundtrip {back:e}"
+            );
         }
     }
 
@@ -269,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn monte_carlo_agrees_with_quadrature() {
+    fn monte_carlo_agrees_with_closed_form() {
         let q = EbarSolver::paper();
         let mc = EbarSolver::monte_carlo(200_000, 99);
         let e = q.solve(1e-2, 2, 2, 2);

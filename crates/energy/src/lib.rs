@@ -12,14 +12,14 @@
 //! * equations (5)–(6): the implicit definition of `ē_b(p, b, mt, mr)` —
 //!   the received symbol energy required to hit target BER `p` with
 //!   constellation size `b` over an `mt × mr` Rayleigh STBC link — which
-//!   [`ebar`] inverts numerically (deterministic Gamma quadrature +
-//!   log-bisection, cross-validated by Monte-Carlo).
+//!   [`ebar`] inverts numerically (exact MRC closed form + log-bisection,
+//!   cross-validated by Monte-Carlo).
 //!
 //! The "Preprocessing" step of the paper's Algorithms 1 and 2 ("Calculate
-//! the value of ē_b ... Load the table ... in each SU node") is
-//! [`table::EbTable`], a rayon-parallel precomputed, serde-serialisable
-//! table; the per-link "determine constellation size b which minimizes ē_b"
-//! step is [`optimize`].
+//! the value of ē_b ... Load the table ... in each SU node") is the
+//! process-wide `ē_b` cache behind [`EnergyModel::ebar`], filled on
+//! demand; the per-link "determine constellation size b which minimizes
+//! ē_b" step is [`optimize`].
 //!
 //! ### Unit anchor
 //!
@@ -35,11 +35,9 @@ pub mod ebar;
 pub mod extended;
 pub mod model;
 pub mod optimize;
-pub mod table;
 
 pub use constants::SystemConstants;
 pub use ebar::EbarSolver;
 pub use extended::{ExtendedEnergyModel, ProcessingBlocks};
 pub use model::EnergyModel;
 pub use optimize::{optimal_constellation, OptimalChoice};
-pub use table::EbTable;

@@ -15,11 +15,11 @@
 //! * (4) `e^MIMOr = (Pcr + Psyn)/(b·B)` — long-haul reception.
 
 use crate::constants::SystemConstants;
-use crate::ebar::EbarSolver;
-use parking_lot::RwLock;
+use crate::ebar::{EbarMethod, EbarSolver};
+use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Parameters common to every link evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -58,19 +58,50 @@ impl LinkParams {
     }
 }
 
-/// The complete energy model: constants + `ē_b` solver.
-///
-/// `ē_b` inversions are memoised internally (the network layer calls the
-/// same `(p, b, mt, mr)` cells thousands of times during routing and
-/// lifetime simulation); clones share the cache.
-/// Cache key: `(p.to_bits(), b, mt, mr)` ↦ solved `ē_b`.
-type EbarCache = Arc<RwLock<HashMap<(u64, u32, usize, usize), f64>>>;
+/// One solver's `ē_b` cells: `(p.to_bits(), b, mt, mr)` ↦ solved `ē_b`.
+type EbarTable = Arc<RwLock<HashMap<(u64, u32, usize, usize), f64>>>;
 
+/// A solver's `n0` and `root_tol` bits, and its method's samples and seed.
+type Fingerprint = (u64, u64, Option<(u32, u64)>);
+
+/// The process-wide `ē_b` memo — the paper's "load the table of ē_b"
+/// preprocessing step, filled on demand — as one table per solver
+/// fingerprint. Every model built with the same solver shares one table
+/// (the network layer, chaos worlds and fault scenarios ask for the same
+/// few cells over and over); models with different solvers never share
+/// entries. A solved value is a pure function of its key, so results do
+/// not depend on thread count or call order. Entries are never evicted:
+/// callers sweeping a continuum of target BERs should call
+/// [`EbarSolver::solve`] directly.
+fn tables() -> &'static Mutex<HashMap<Fingerprint, EbarTable>> {
+    static TABLES: OnceLock<Mutex<HashMap<Fingerprint, EbarTable>>> = OnceLock::new();
+    TABLES.get_or_init(Default::default)
+}
+
+/// The shared table of every model built with solver `s`.
+fn shared_table(s: &EbarSolver) -> EbarTable {
+    let method = match s.method {
+        EbarMethod::ClosedForm => None,
+        EbarMethod::MonteCarlo { samples, seed } => Some((samples, seed)),
+    };
+    let fingerprint = (s.n0.to_bits(), s.root_tol.to_bits(), method);
+    tables().lock().entry(fingerprint).or_default().clone()
+}
+
+/// Number of cached `ē_b` entries at target BER `ber`, across all solvers.
+#[cfg(test)]
+fn cached_entries(ber: f64) -> usize {
+    let tables = tables().lock();
+    let at_ber = |t: &EbarTable| t.read().keys().filter(|k| k.0 == ber.to_bits()).count();
+    tables.values().map(at_ber).sum()
+}
+
+/// The complete energy model: constants + `ē_b` solver.
 #[derive(Debug, Clone)]
 pub struct EnergyModel {
     consts: SystemConstants,
     solver: EbarSolver,
-    ebar_cache: EbarCache,
+    ebar_table: EbarTable,
 }
 
 impl EnergyModel {
@@ -84,7 +115,7 @@ impl EnergyModel {
         Self {
             consts,
             solver,
-            ebar_cache: Arc::new(RwLock::new(HashMap::new())),
+            ebar_table: shared_table(&solver),
         }
     }
 
@@ -99,14 +130,14 @@ impl EnergyModel {
     }
 
     /// `ē_b(p, b, mt, mr)` in joules (equations (5)–(6) inverted),
-    /// memoised.
+    /// memoised process-wide.
     pub fn ebar(&self, p: &LinkParams, mt: usize, mr: usize) -> f64 {
         let key = (p.ber.to_bits(), p.b, mt, mr);
-        if let Some(&v) = self.ebar_cache.read().get(&key) {
+        if let Some(&v) = self.ebar_table.read().get(&key) {
             return v;
         }
         let v = self.solver.solve(p.ber, p.b, mt, mr);
-        self.ebar_cache.write().insert(key, v);
+        self.ebar_table.write().insert(key, v);
         v
     }
 
@@ -146,16 +177,9 @@ impl EnergyModel {
     /// Equation (3), PA part: per-bit per-node PA energy of a long-haul
     /// `mt × mr` cooperative transmission over distance `d_m` metres.
     pub fn e_mimot_pa(&self, p: &LinkParams, mt: usize, mr: usize, d_m: f64) -> f64 {
+        assert!(mt >= 1);
         let alpha = SystemConstants::alpha(p.b);
         let ebar = self.ebar(p, mt, mr);
-        self.e_mimot_pa_with_ebar(p.b, mt, ebar, d_m, alpha)
-    }
-
-    /// Equation (3) PA part with a caller-supplied `ē_b` (e.g. from a
-    /// precomputed [`crate::table::EbTable`]).
-    pub fn e_mimot_pa_with_ebar(&self, b: u32, mt: usize, ebar: f64, d_m: f64, alpha: f64) -> f64 {
-        let _ = b;
-        assert!(mt >= 1);
         (1.0 / mt as f64) * (1.0 + alpha) * ebar * self.consts.long_haul_loss(d_m)
     }
 
@@ -293,6 +317,59 @@ mod tests {
         let p40 = LinkParams::new(1e-3, 2, 40_000.0, 10_000.0);
         assert!(m.e_mimot_c(&p40) < m.e_mimot_c(&p20));
         assert!(m.e_lr(&p40) < m.e_lr(&p20));
+    }
+
+    // The cache is process-wide and tests run concurrently, so each cache
+    // test owns a target BER no other test uses and counts only its
+    // entries.
+
+    #[test]
+    fn separately_built_paper_models_share_the_cache() {
+        let p = params(1.234e-3, 3);
+        let first = EnergyModel::paper().ebar(&p, 2, 3);
+        assert_eq!(cached_entries(p.ber), 1);
+        let second = EnergyModel::paper().ebar(&p, 2, 3);
+        assert_eq!(cached_entries(p.ber), 1, "second model missed the cache");
+        assert_eq!(first.to_bits(), second.to_bits());
+    }
+
+    #[test]
+    fn a_different_solver_gets_its_own_entry() {
+        let p = params(2.345e-3, 2);
+        let paper = EnergyModel::paper();
+        let mut solver = EbarSolver::paper();
+        solver.n0 *= 2.0;
+        let noisy = EnergyModel::new(SystemConstants::paper(), solver);
+        let e_paper = paper.ebar(&p, 2, 2);
+        let e_noisy = noisy.ebar(&p, 2, 2);
+        assert_eq!(cached_entries(p.ber), 2);
+        // ē_b scales linearly with N0
+        assert!(
+            (e_noisy / e_paper - 2.0).abs() < 1e-9,
+            "{e_noisy:e} vs {e_paper:e}"
+        );
+        assert_eq!(paper.ebar(&p, 2, 2).to_bits(), e_paper.to_bits());
+        assert_eq!(noisy.ebar(&p, 2, 2).to_bits(), e_noisy.to_bits());
+    }
+
+    #[test]
+    fn pool_filled_cache_matches_single_thread_solves() {
+        use rayon::prelude::*;
+        let ber = 3.456e-3;
+        let cells: Vec<(u32, usize, usize)> = (1..=16u32)
+            .flat_map(|b| (1..=4usize).flat_map(move |mt| (1..=4usize).map(move |mr| (b, mt, mr))))
+            .collect();
+        let m = EnergyModel::paper();
+        let pooled: Vec<f64> = cells
+            .par_iter()
+            .map(|&(b, mt, mr)| m.ebar(&params(ber, b), mt, mr))
+            .collect();
+        assert_eq!(cached_entries(ber), cells.len());
+        for (&(b, mt, mr), &v) in cells.iter().zip(&pooled) {
+            let serial = m.solver().solve(ber, b, mt, mr);
+            assert_eq!(v.to_bits(), serial.to_bits(), "b={b} {mt}x{mr}");
+            assert_eq!(m.ebar(&params(ber, b), mt, mr).to_bits(), serial.to_bits());
+        }
     }
 
     #[test]

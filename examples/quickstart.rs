@@ -15,8 +15,7 @@ use comimo::core::interweave::TransmitPair;
 use comimo::core::overlay::{Overlay, OverlayConfig};
 use comimo::core::underlay::{Underlay, UnderlayConfig};
 use comimo::energy::ebar::EbarSolver;
-use comimo::energy::model::EnergyModel;
-use comimo::energy::table::EbTable;
+use comimo::energy::model::{EnergyModel, LinkParams};
 
 fn main() {
     // ------------------------------------------------------------------
@@ -30,17 +29,26 @@ fn main() {
     println!("e_b(p=1e-3, b=2, MIMO 2x3)  = {mimo:.3e} J  (paper: 3.20e-20)");
     println!("cooperative advantage       = {:.0}x\n", siso / mimo);
 
-    // the "Preprocessing" step of Algorithms 1-2: build and query the table
-    let table = EbTable::build(&solver, &[0.005, 0.001, 0.0005]);
-    let (best_b, best_e) = table.best_b(0.001, 2, 3);
-    println!(
-        "table: optimal constellation at p=1e-3 for a 2x3 link: b = {best_b} ({best_e:.2e} J)\n"
-    );
+    // the "Preprocessing" step of Algorithms 1-2: the model memoises every
+    // e_b it solves in one process-wide table
+    let model = EnergyModel::paper();
+    println!("table: e_b for a 2x3 link (J)");
+    println!("   b   p=5e-3     p=1e-3     p=5e-4");
+    for b in [1, 2, 4, 8] {
+        let row: Vec<String> = [0.005, 0.001, 0.0005]
+            .iter()
+            .map(|&ber| {
+                let p = LinkParams::new(ber, b, 40_000.0, 10_000.0);
+                format!("{:.2e}", model.ebar(&p, 2, 3))
+            })
+            .collect();
+        println!("  {b:2}   {}", row.join("   "));
+    }
+    println!();
 
     // ------------------------------------------------------------------
     // 2. Overlay: relay the primary transmission (Algorithm 1 / Figure 6)
     // ------------------------------------------------------------------
-    let model = EnergyModel::paper();
     let overlay = Overlay::new(&model, OverlayConfig::paper(3, 40_000.0));
     let a = overlay.analyze(250.0);
     println!("== overlay (m = 3 relays, B = 40 kHz) ==");

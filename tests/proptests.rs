@@ -5,7 +5,7 @@ use comimo::channel::geometry::{angle_at_vertex, Point};
 use comimo::core::interweave::{pair_amplitude, phase_delay, TransmitPair};
 use comimo::dsp::bits::{bits_to_bytes, bytes_to_bits};
 use comimo::dsp::crc::{append_crc, check_and_strip_crc};
-use comimo::energy::ebar::EbarSolver;
+use comimo::energy::ebar::{average_ber, EbarSolver};
 use comimo::math::complex::Complex;
 use proptest::prelude::*;
 
@@ -107,25 +107,49 @@ proptest! {
 }
 
 proptest! {
-    // the ē_b forward map is expensive; fewer cases
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The `ē_b` solver round-trips through its forward map for arbitrary
-    /// targets and antenna configurations.
+    /// targets and antenna configurations, down to p = 1e-12.
     #[test]
     fn prop_ebar_roundtrip(
-        p_exp in 1.5f64..3.5,           // BER 10^-1.5 .. 10^-3.5
-        b in 1u32..8,
-        mt in 1usize..4,
-        mr in 1usize..4,
+        p_exp in 1.0f64..12.0,          // BER 10^-1 .. 10^-12
+        b in 1u32..17,
+        mt in 1usize..5,
+        mr in 1usize..5,
     ) {
         let p = 10f64.powf(-p_exp);
         let solver = EbarSolver::paper();
         let e = solver.solve(p, b, mt, mr);
         let back = solver.forward(e, b, mt, mr);
-        prop_assert!((back - p).abs() / p < 1e-5, "p={p}, back={back}");
+        prop_assert!((back - p).abs() / p <= 1e-9, "p={p}, back={back}");
         // more energy strictly helps
         prop_assert!(solver.forward(e * 2.0, b, mt, mr) < p);
+    }
+
+    /// At high SNR the closed-form channel average meets the diversity
+    /// asymptote `a·C(2L−1, L)/(4γ̄)^L` with a gap below `L/γ̄`.
+    #[test]
+    fn prop_ebar_forward_meets_diversity_asymptote(
+        gamma_exp in 2.0f64..8.0,       // γ̄ = 10^2 .. 10^8
+        b in 1u32..17,
+        l in 1usize..17,
+    ) {
+        let gamma_bar = 10f64.powf(gamma_exp);
+        // BER kernel a·Q(√(κγ)) of equations (5)–(6)
+        let (a, kappa) = if b == 1 {
+            (1.0, 2.0)
+        } else {
+            let bf = b as f64;
+            (4.0 / bf * (1.0 - 2f64.powf(-bf / 2.0)), 3.0 * bf / (2f64.powi(b as i32) - 1.0))
+        };
+        // a 1 × L link: γ̄ = κ·ē/(2·N0)
+        let n0 = 1e-20;
+        let closed = average_ber(gamma_bar * 2.0 * n0 / kappa, b, 1, l, n0);
+        let binom = (1..=l).fold(1.0, |c, k| c * (l - 1 + k) as f64 / k as f64);
+        let asym = a * binom / (4.0 * gamma_bar).powi(l as i32);
+        let gap = (closed / asym - 1.0).abs();
+        prop_assert!(gap <= l as f64 / gamma_bar, "L={l} γ̄={gamma_bar:e}: gap {gap:e}");
     }
 }
 
