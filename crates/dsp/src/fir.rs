@@ -34,8 +34,10 @@ impl Fir {
         self
     }
 
-    /// Full convolution with a real signal (`out.len() = x.len() + taps - 1`).
-    pub fn filter_real(&self, x: &[f64]) -> Vec<f64> {
+    /// Full convolution with a real signal (`out.len() = x.len() + taps - 1`);
+    /// the oracle of the GMSK modulator's fused pulse shaping.
+    #[cfg(test)]
+    pub(crate) fn filter_real(&self, x: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; x.len() + self.taps.len() - 1];
         for (i, &xi) in x.iter().enumerate() {
             for (j, &t) in self.taps.iter().enumerate() {

@@ -5,14 +5,24 @@
 //! testbed's GNU Radio chain would be `gmsk_mod`/`gmsk_demod` (BT = 0.35).
 //! This is a faithful complex-baseband implementation:
 //!
-//! * **Modulator**: NRZ bit impulses → Gaussian pulse shaping (unit-area
-//!   taps) → frequency pulses → phase integrator with modulation index
-//!   `h = 1/2` (±π/2 per symbol) → unit-envelope phasor.
-//! * **Demodulator**: quadrature discriminator (`arg(s[n]·s*[n−1])`) →
-//!   per-symbol integrate-and-dump → sign decision. Being differential it
+//! * **Modulator**: each NRZ symbol adds its ±1-scaled Gaussian pulse
+//!   (unit-area taps) at its own instant into the frequency track — the
+//!   convolution of the impulse train with the pulse, without the
+//!   multiply-adds by the train's zeros — and a phase integrator with
+//!   modulation index `h = 1/2` (±π/2 per symbol) turns the track into a
+//!   unit-envelope phasor in place. One output buffer, no intermediates.
+//! * **Demodulator**: quadrature discriminator (`arg(s[n]·s*[n−1])`)
+//!   evaluated inside each per-symbol integrate-and-dump window, then a
+//!   sign decision. The windows do not overlap, so every discriminator
+//!   sample is computed once, and none is stored. Being differential it
 //!   is insensitive to the complex channel gain — which is what makes the
 //!   paper's two-transmitter underlay cooperation work without carrier
 //!   phase alignment.
+//!
+//! Both directions perform the same floating-point operations in the same
+//! order as the textbook impulse-train → FIR → integrator and
+//! discriminator-buffer → window-sum chains, so their outputs are
+//! bit-identical to them (the tests keep those chains as oracles).
 
 use crate::fir::Fir;
 use comimo_math::complex::Complex;
@@ -53,21 +63,22 @@ impl GmskModem {
 
     /// Modulates a bit stream into unit-envelope complex baseband.
     pub fn modulate(&self, bits: &[bool]) -> Vec<Complex> {
-        // NRZ impulse train at symbol instants
-        let mut impulses = vec![0.0; bits.len() * self.sps];
+        let mut out = vec![Complex::zero(); self.samples_for_bits(bits.len())];
+        // frequency pulses, accumulated in the real parts in symbol order;
+        // pulse taps sum to 1 → ±π/2 phase per symbol
         for (k, &b) in bits.iter().enumerate() {
-            impulses[k * self.sps] = if b { 1.0 } else { -1.0 };
+            let a = if b { 1.0 } else { -1.0 };
+            for (o, &t) in out[k * self.sps..].iter_mut().zip(self.pulse.taps()) {
+                o.re += a * t;
+            }
         }
-        // frequency pulses; pulse taps sum to 1 → ±π/2 phase per symbol
-        let freq = self.pulse.filter_real(&impulses);
         // integrate phase
         let mut phase = 0.0f64;
-        freq.iter()
-            .map(|&f| {
-                phase += std::f64::consts::FRAC_PI_2 * f;
-                Complex::cis(phase)
-            })
-            .collect()
+        for o in &mut out {
+            phase += std::f64::consts::FRAC_PI_2 * o.re;
+            *o = Complex::cis(phase);
+        }
+        out
     }
 
     /// Demodulates a received complex baseband stream into `n_bits` bits
@@ -76,27 +87,25 @@ impl GmskModem {
     /// The stream must be aligned to the modulator output (the testbed
     /// keeps transmit/receive sample counters in lockstep; over-the-air
     /// timing recovery is out of scope for a packet-level simulator).
+    /// Windows running past the end of the stream are cut short; a bit
+    /// whose window is empty decides `false`.
     pub fn demodulate(&self, samples: &[Complex], n_bits: usize) -> Vec<bool> {
-        // instantaneous frequency
-        let mut dphi = Vec::with_capacity(samples.len());
-        dphi.push(0.0);
-        for w in samples.windows(2) {
-            dphi.push((w[1] * w[0].conj()).arg());
-        }
         let delay = self.pulse.group_delay();
-        let mut bits = Vec::with_capacity(n_bits);
-        for k in 0..n_bits {
-            // integrate over the symbol window centred on the pulse peak
-            let centre = k * self.sps + delay;
-            let lo = centre.saturating_sub(self.sps / 2) + 1;
-            let hi = (centre + self.sps - self.sps / 2).min(dphi.len().saturating_sub(1));
-            let mut acc = 0.0;
-            for d in dphi.iter().take(hi + 1).skip(lo) {
-                acc += d;
-            }
-            bits.push(acc > 0.0);
-        }
-        bits
+        let last = samples.len().saturating_sub(1);
+        (0..n_bits)
+            .map(|k| {
+                // integrate the instantaneous frequency over the symbol
+                // window centred on the pulse peak
+                let centre = k * self.sps + delay;
+                let lo = centre.saturating_sub(self.sps / 2) + 1;
+                let hi = (centre + self.sps - self.sps / 2).min(last);
+                let mut acc = 0.0;
+                for n in lo..=hi {
+                    acc += (samples[n] * samples[n - 1].conj()).arg();
+                }
+                acc > 0.0
+            })
+            .collect()
     }
 }
 
@@ -111,6 +120,99 @@ mod tests {
     use super::*;
     use crate::bits::{count_bit_errors, pn_sequence};
     use comimo_math::rng::{complex_gaussian, seeded};
+    use rand::Rng;
+
+    /// The textbook modulator: NRZ impulse train → full convolution with
+    /// the pulse → phase integrator.
+    fn modulate_reference(m: &GmskModem, bits: &[bool]) -> Vec<Complex> {
+        let mut impulses = vec![0.0; bits.len() * m.sps];
+        for (k, &b) in bits.iter().enumerate() {
+            impulses[k * m.sps] = if b { 1.0 } else { -1.0 };
+        }
+        let mut phase = 0.0f64;
+        m.pulse
+            .filter_real(&impulses)
+            .iter()
+            .map(|&f| {
+                phase += std::f64::consts::FRAC_PI_2 * f;
+                Complex::cis(phase)
+            })
+            .collect()
+    }
+
+    /// The textbook demodulator: a stored discriminator track, then
+    /// per-symbol window sums over it.
+    fn demodulate_reference(m: &GmskModem, samples: &[Complex], n_bits: usize) -> Vec<bool> {
+        let mut dphi = Vec::with_capacity(samples.len());
+        dphi.push(0.0);
+        for w in samples.windows(2) {
+            dphi.push((w[1] * w[0].conj()).arg());
+        }
+        let delay = m.pulse.group_delay();
+        (0..n_bits)
+            .map(|k| {
+                let centre = k * m.sps + delay;
+                let lo = centre.saturating_sub(m.sps / 2) + 1;
+                let hi = (centre + m.sps - m.sps / 2).min(dphi.len().saturating_sub(1));
+                let mut acc = 0.0;
+                for d in dphi.iter().take(hi + 1).skip(lo) {
+                    acc += d;
+                }
+                acc > 0.0
+            })
+            .collect()
+    }
+
+    fn bit_patterns(v: &[Complex]) -> Vec<(u64, u64)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    const SETTINGS: [(f64, usize); 4] = [(0.35, 4), (0.3, 8), (0.5, 2), (3.0, 4)];
+
+    #[test]
+    fn modulate_is_bit_identical_to_the_impulse_train_chain() {
+        let mut rng = seeded(0x6D6F64);
+        for (bt, sps) in SETTINGS {
+            let m = GmskModem::new(bt, sps);
+            for len in [0, 1, 17, 12_112] {
+                let bits: Vec<bool> = (0..len).map(|_| rng.gen()).collect();
+                let got = m.modulate(&bits);
+                assert_eq!(got.len(), m.samples_for_bits(len));
+                assert_eq!(
+                    bit_patterns(&got),
+                    bit_patterns(&modulate_reference(&m, &bits)),
+                    "BT {bt}, sps {sps}, {len} bits"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn demodulate_is_bit_identical_to_the_discriminator_buffer_chain() {
+        let mut rng = seeded(0x64656D);
+        for (bt, sps) in SETTINGS {
+            let m = GmskModem::new(bt, sps);
+            assert_eq!(m.demodulate(&[], 5), demodulate_reference(&m, &[], 5));
+            assert!(m.demodulate(&[], 0).is_empty());
+            for len in [1, 17, 600] {
+                let bits: Vec<bool> = (0..len).map(|_| rng.gen()).collect();
+                let g = Complex::from_polar(rng.gen_range(0.01..2.0), rng.gen_range(0.0..6.3));
+                let noise = rng.gen_range(0.0..3.0);
+                let rx: Vec<Complex> = m
+                    .modulate(&bits)
+                    .iter()
+                    .map(|&s| s * g + complex_gaussian(&mut rng, noise))
+                    .collect();
+                for n_bits in [len - 1, len, len + 1, len + 7] {
+                    assert_eq!(
+                        m.demodulate(&rx, n_bits),
+                        demodulate_reference(&m, &rx, n_bits),
+                        "BT {bt}, sps {sps}, {len} bits, decided {n_bits}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn constant_envelope() {

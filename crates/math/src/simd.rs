@@ -371,12 +371,13 @@ mod lanes {
             e += shift;
             let s = (m - 1.0) / (m + 1.0);
             let s2 = s * s;
-            let p = 1.0
-                + s2 * (1.0 / 3.0
-                    + s2 * (1.0 / 5.0
-                        + s2 * (1.0 / 7.0
-                            + s2 * (1.0 / 9.0
-                                + s2 * (1.0 / 11.0 + s2 * (1.0 / 13.0 + s2 / 15.0))))));
+            let mut p = 1.0 / 13.0 + s2 / 15.0;
+            p = 1.0 / 11.0 + s2 * p;
+            p = 1.0 / 9.0 + s2 * p;
+            p = 1.0 / 7.0 + s2 * p;
+            p = 1.0 / 5.0 + s2 * p;
+            p = 1.0 / 3.0 + s2 * p;
+            p = 1.0 + s2 * p;
             out[l] = e * LN_2 + 2.0 * s * p;
         }
         out
@@ -390,27 +391,25 @@ mod lanes {
             let x = TAU * (t[l] - 0.5 * f64::from(k));
             let sign = f64::from(1 - ((k & 1) << 1));
             let x2 = x * x;
-            let ps = x
-                * (1.0
-                    + x2 * (-1.0 / 6.0
-                        + x2 * (1.0 / 120.0
-                            + x2 * (-1.0 / 5040.0
-                                + x2 * (1.0 / 362_880.0
-                                    + x2 * (-1.0 / 39_916_800.0
-                                        + x2 * (1.0 / 6_227_020_800.0
-                                            + x2 * (-1.0 / 1_307_674_368_000.0
-                                                + x2 * (1.0 / 355_687_428_096_000.0
-                                                    - x2 / 121_645_100_408_832_000.0)))))))));
-            let pc = 1.0
-                + x2 * (-0.5
-                    + x2 * (1.0 / 24.0
-                        + x2 * (-1.0 / 720.0
-                            + x2 * (1.0 / 40_320.0
-                                + x2 * (-1.0 / 3_628_800.0
-                                    + x2 * (1.0 / 479_001_600.0
-                                        + x2 * (-1.0 / 87_178_291_200.0
-                                            + x2 * (1.0 / 20_922_789_888_000.0
-                                                - x2 / 6_402_373_705_728_000.0))))))));
+            let mut ps = 1.0 / 355_687_428_096_000.0 - x2 / 121_645_100_408_832_000.0;
+            ps = -1.0 / 1_307_674_368_000.0 + x2 * ps;
+            ps = 1.0 / 6_227_020_800.0 + x2 * ps;
+            ps = -1.0 / 39_916_800.0 + x2 * ps;
+            ps = 1.0 / 362_880.0 + x2 * ps;
+            ps = -1.0 / 5040.0 + x2 * ps;
+            ps = 1.0 / 120.0 + x2 * ps;
+            ps = -1.0 / 6.0 + x2 * ps;
+            ps = 1.0 + x2 * ps;
+            ps *= x;
+            let mut pc = 1.0 / 20_922_789_888_000.0 - x2 / 6_402_373_705_728_000.0;
+            pc = -1.0 / 87_178_291_200.0 + x2 * pc;
+            pc = 1.0 / 479_001_600.0 + x2 * pc;
+            pc = -1.0 / 3_628_800.0 + x2 * pc;
+            pc = 1.0 / 40_320.0 + x2 * pc;
+            pc = -1.0 / 720.0 + x2 * pc;
+            pc = 1.0 / 24.0 + x2 * pc;
+            pc = -0.5 + x2 * pc;
+            pc = 1.0 + x2 * pc;
             sv[l] = sign * ps;
             cv[l] = sign * pc;
         }

@@ -62,16 +62,16 @@ fn erf_series(x: f64) -> f64 {
 fn erfc_nr(x: f64) -> f64 {
     let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);
-    let ans = t
-        * (-z * z - 1.26551223
-            + t * (1.00002368
-                + t * (0.37409196
-                    + t * (0.09678418
-                        + t * (-0.18628806
-                            + t * (0.27886807
-                                + t * (-1.13520398
-                                    + t * (1.48851587 + t * (-0.82215223 + t * 0.17087277)))))))))
-            .exp();
+    // Horner, one statement per step: rustfmt stalls on the nested form
+    let mut p = -0.82215223 + t * 0.17087277;
+    p = 1.48851587 + t * p;
+    p = -1.13520398 + t * p;
+    p = 0.27886807 + t * p;
+    p = -0.18628806 + t * p;
+    p = 0.09678418 + t * p;
+    p = 0.37409196 + t * p;
+    p = 1.00002368 + t * p;
+    let ans = t * (-z * z - 1.26551223 + t * p).exp();
     if x >= 0.0 {
         ans
     } else {

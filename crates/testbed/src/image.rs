@@ -35,12 +35,14 @@ impl TestImage {
         let width = 948;
         let height = 750;
         debug_assert_eq!(width * height, PACKET_BYTES * PACKET_COUNT);
+        // the ripple is separable: one sine per column, one cosine per row
+        let col_sin: Vec<f64> = (0..width).map(|x| ((x as f64) / 17.0).sin()).collect();
         let mut pixels = Vec::with_capacity(width * height);
         for y in 0..height {
-            for x in 0..width {
+            let row_cos = ((y as f64) / 23.0).cos();
+            for (x, &sin_x) in col_sin.iter().enumerate() {
                 let grad = (x * 255 / width) as u8;
-                let ripple =
-                    ((((x as f64) / 17.0).sin() * ((y as f64) / 23.0).cos()) * 40.0) as i16;
+                let ripple = ((sin_x * row_cos) * 40.0) as i16;
                 pixels.push((grad as i16 + ripple).clamp(0, 255) as u8);
             }
         }
@@ -107,6 +109,23 @@ mod tests {
         assert_eq!(img.pixels.len(), PACKET_BYTES * PACKET_COUNT);
         assert_eq!(img.packets().len(), PACKET_COUNT);
         assert!(img.packets().iter().all(|p| p.len() == PACKET_BYTES));
+    }
+
+    #[test]
+    fn standard_image_matches_the_per_pixel_formula() {
+        let img = TestImage::standard();
+        let (width, height) = (img.width, img.height);
+        let mut expected = Vec::with_capacity(width * height);
+        for y in 0..height {
+            for x in 0..width {
+                let grad = (x * 255 / width) as u8;
+                let ripple =
+                    ((((x as f64) / 17.0).sin() * ((y as f64) / 23.0).cos()) * 40.0) as i16;
+                expected.push((grad as i16 + ripple).clamp(0, 255) as u8);
+            }
+        }
+        assert_eq!((width, height), (948, 750));
+        assert_eq!(img.pixels, expected);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //!   setting (0..32767) mapping to transmit scale, carrier at 2.45 GHz;
 //! * [`calib`] — link calibration: mean SNR at a reference distance, Friis
 //!   roll-off, obstacle excess loss (from `comimo-channel`);
-//! * [`flowgraph`] — a minimal GNU-Radio-flavoured block graph used by the
-//!   transmit/receive chains;
 //! * [`bpsk_link`] — packet-level BPSK links with per-packet block fading
 //!   (Rayleigh or Rician) and AWGN, plus decode-and-forward relays and EGC;
 //! * [`image`] — the synthetic "image file" (474 × 1500-byte packets) of
@@ -29,7 +27,6 @@
 pub mod bpsk_link;
 pub mod calib;
 pub mod experiments;
-pub mod flowgraph;
 pub mod image;
 pub mod sync_rx;
 pub mod usrp;

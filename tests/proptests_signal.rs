@@ -32,15 +32,18 @@ proptest! {
         check(&Qam16)?;
     }
 
-    /// GMSK round-trips any bit pattern through an arbitrary complex gain.
+    /// GMSK round-trips any bit pattern, of any length (empty included)
+    /// and at any samples-per-symbol, through an arbitrary complex gain.
     #[test]
     fn prop_gmsk_roundtrip_under_gain(
-        bits in arb_bits(192),
-        gain_db in -30.0f64..10.0,
-        phase in 0.0f64..6.25,
+        bits in proptest::collection::vec(any::<bool>(), 0..2000),
+        sps in 2usize..9,
+        gain_db in -60.0f64..60.0,
+        phase in 0.0f64..std::f64::consts::TAU,
     ) {
-        let modem = GmskModem::gnuradio_default();
+        let modem = GmskModem::new(0.35, sps);
         let wave = modem.modulate(&bits);
+        prop_assert_eq!(wave.len(), modem.samples_for_bits(bits.len()));
         let g = Complex::from_polar(comimo::math::db::db_to_lin_amplitude(gain_db), phase);
         let rx: Vec<Complex> = wave.iter().map(|&s| s * g).collect();
         let back = modem.demodulate(&rx, bits.len());
