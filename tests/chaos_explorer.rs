@@ -149,3 +149,37 @@ fn fault_free_violation_shrinks_to_the_empty_trace() {
     let art = ChaosArtifact::from_finding(&cfg, f);
     assert!(replay(&art, true).reproduced);
 }
+
+#[test]
+fn concurrent_explores_on_a_busy_pool_equal_the_serial_report() {
+    // three explores at once, each with more runs than the pool has
+    // threads: one holds the pool, and each of its runs' nested schedule
+    // builds runs inline on the pool thread that claimed the run; the
+    // others find the pool busy and run inline on their own thread. Every
+    // path must reproduce the serial report, findings and minimized
+    // traces included
+    let cfg = ExploreConfig {
+        runs: rayon::current_num_threads() as u64 + 2,
+        horizon_s: 120.0,
+        lambda_min: 2.0,
+        lambda_max: 4.0,
+        bounds: weakened_epa_bounds(),
+        serial: true,
+        ..ExploreConfig::new(SEED)
+    };
+    let serial = explore(&cfg);
+    assert!(
+        serial.findings.iter().any(|f| !f.minimized.is_empty()),
+        "the weakened bound must yield a non-trivial minimized trace"
+    );
+    let pooled = ExploreConfig {
+        serial: false,
+        ..cfg
+    };
+    let reports: Vec<_> = (0..3)
+        .map(|_| std::thread::spawn(move || explore(&pooled)))
+        .collect();
+    for h in reports {
+        assert_eq!(h.join().expect("explorer thread"), serial);
+    }
+}
