@@ -65,7 +65,7 @@ use comimo_bench::{
     SENSE_LOSS_PROB, SENSE_REPORTERS, SENSE_REPORT_SNR_DB, SENSE_SNR_DB,
 };
 use comimo_campaign::{install_sigint_stop, CampaignConfig, CampaignReport, CampaignStatus};
-use comimo_sensing::{run_byz_campaign, run_roc_campaign, ByzSweepSpec, RocGridSpec};
+use comimo_sensing::{run_byz_campaign, run_roc_campaign, ByzSweepSpec, RocGridSpec, SweepError};
 
 fn usage(problem: &str) -> ! {
     eprintln!("error: {problem}");
@@ -187,6 +187,17 @@ fn echo_campaign_health(report: &CampaignReport, max_attempts: u32) {
     }
 }
 
+/// Reports a sweep that could not start and exits 1 — shared by the
+/// `--roc` and `--byz` campaign modes. Only a supervisor refusal (a
+/// checkpoint that does not match the spec) gets the checkpoint hint.
+fn exit_on_sweep_error(e: &SweepError) -> ! {
+    eprintln!("error: {e}");
+    if matches!(e, SweepError::Campaign(_)) {
+        eprintln!("hint: pass a fresh --checkpoint path or drop --resume");
+    }
+    std::process::exit(1);
+}
+
 fn roc_mode(args: &[String]) {
     let args = parse_roc_args(args);
     // first Ctrl-C = graceful stop at the next chunk boundary
@@ -210,11 +221,7 @@ fn roc_mode(args: &[String]) {
 
     let (report, roc) = match run_roc_campaign(&spec, &cfg) {
         Ok(out) => out,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("hint: pass a fresh --checkpoint path or drop --resume");
-            std::process::exit(1);
-        }
+        Err(e) => exit_on_sweep_error(&e),
     };
 
     echo_campaign_health(&report, cfg.max_attempts);
@@ -370,11 +377,7 @@ fn byz_mode(args: &[String]) {
 
     let (report, cells) = match run_byz_campaign(&spec, &cfg) {
         Ok(out) => out,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("hint: pass a fresh --checkpoint path or drop --resume");
-            std::process::exit(1);
-        }
+        Err(e) => exit_on_sweep_error(&e),
     };
 
     echo_campaign_health(&report, cfg.max_attempts);

@@ -7,8 +7,8 @@
 //! The pending shards (everything the checkpoint does not already mark
 //! done or quarantined) are processed in *chunks* of
 //! [`CampaignConfig::checkpoint_every_shards`]. Within a chunk, shards
-//! run on the rayon pool (serially without the `parallel` feature or
-//! with [`CampaignConfig::serial`]); each shard execution is wrapped in
+//! run on the rayon pool (serially with [`CampaignConfig::serial`] or
+//! `RAYON_NUM_THREADS=1`); each shard execution is wrapped in
 //! `catch_unwind`, retried with bounded exponential backoff on panic,
 //! and quarantined after [`CampaignConfig::max_attempts`] failures —
 //! the sweep keeps going instead of aborting. After every chunk the
@@ -70,8 +70,8 @@ pub struct CampaignConfig {
     /// Cooperative stop flag (e.g. from [`crate::install_sigint_stop`]),
     /// polled at chunk boundaries.
     pub stop: Option<Arc<AtomicBool>>,
-    /// Force serial chunk execution even in `parallel` builds (the two
-    /// modes are bit-identical; this exists so tests can prove it).
+    /// Force serial chunk execution on the calling thread (the two modes
+    /// are bit-identical; this exists so tests can prove it).
     pub serial: bool,
     /// Deterministic fault injection (disabled by default).
     pub faults: CampaignFaultPlan,
@@ -235,22 +235,21 @@ fn backoff(base: Duration, cap: Duration, k: u32) -> Duration {
         .min(cap)
 }
 
-/// Maps `f` over `items` on the rayon pool when compiled with the
-/// `parallel` feature and `serial` is false; in order, serially,
-/// otherwise. Output order always matches input order.
+/// Maps `f` over `items` on the rayon pool unless `serial` is set, in
+/// which case it runs in order on the calling thread. Output order always
+/// matches input order.
 fn par_map<T, R, F>(items: &[T], serial: bool, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Send + Sync,
 {
-    #[cfg(feature = "parallel")]
-    if !serial {
+    if serial {
+        items.iter().map(f).collect()
+    } else {
         use rayon::prelude::*;
-        return items.par_iter().map(f).collect();
+        items.par_iter().map(f).collect()
     }
-    let _ = serial;
-    items.iter().map(f).collect()
 }
 
 /// Outcome of supervising one shard.
@@ -569,7 +568,7 @@ impl std::fmt::Display for SupervisedFailure {
 }
 
 /// Maps `f` over `items` under the supervisor's panic isolation and
-/// bounded retries (on the rayon pool with the `parallel` feature).
+/// bounded retries, on the rayon pool.
 /// Output order matches input order; an item whose every attempt
 /// panicked yields `Err` instead of unwinding through the whole map.
 pub fn supervised_map<T, R, F>(

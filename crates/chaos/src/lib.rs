@@ -42,25 +42,21 @@ pub mod invariant;
 pub mod shrink;
 pub mod world;
 
-/// Maps `f` over `items`, on the rayon pool in `parallel` builds unless
-/// `serial` forces one thread. Both paths visit items in order-stable
-/// fashion, so callers observe identical outputs — the chaos pipeline's
-/// load-bearing property.
+/// Maps `f` over `items`, on the rayon pool unless `serial` forces the
+/// calling thread. Both paths return outputs in input order, so callers
+/// observe identical outputs — the chaos pipeline's load-bearing property.
 pub(crate) fn par_map<T, R, F>(items: &[T], serial: bool, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Send + Sync,
 {
-    #[cfg(feature = "parallel")]
-    {
-        if !serial {
-            use rayon::prelude::*;
-            return items.par_iter().map(&f).collect();
-        }
+    if serial {
+        items.iter().map(f).collect()
+    } else {
+        use rayon::prelude::*;
+        items.par_iter().map(f).collect()
     }
-    let _ = serial;
-    items.iter().map(&f).collect()
 }
 
 pub use artifact::{replay, ArtifactError, ChaosArtifact, ReplayOutcome, TraceEvent};

@@ -44,30 +44,6 @@ pub mod scenarios;
 pub mod schedule;
 pub mod sensing;
 
-/// Maps `f` over `items` — on the rayon pool when the `parallel` feature
-/// is on, serially otherwise. Output order always matches input order, so
-/// the two paths are interchangeable bit-for-bit; callers must derive any
-/// randomness per item (never thread one stream through the loop).
-#[cfg(feature = "parallel")]
-pub(crate) fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Send + Sync,
-{
-    use rayon::prelude::*;
-    items.par_iter().map(f).collect()
-}
-
-/// Serial fallback of [`par_map`] (identical results by construction).
-#[cfg(not(feature = "parallel"))]
-pub(crate) fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    F: Fn(&T) -> R,
-{
-    items.iter().map(f).collect()
-}
-
 pub use byzantine::{assign_roles, ByzantineConfig, ByzantineRole, ByzantineSuite, ReportOverride};
 pub use campaign::CampaignFaultPlan;
 pub use injector::{inject_all, FaultTrace, TraceEntry};

@@ -22,9 +22,9 @@
 //! gain *after* the channel draws (burn-their-draws), so arming or
 //! scaling them never shifts any RNG stream.
 
-use crate::par_map;
 use crate::schedule::arrivals;
 use comimo_sim::time::SimTime;
+use rayon::prelude::*;
 use serde::Serialize;
 
 const SALT_SNR_COLLAPSE: u64 = 0xFA17_0000_0009;
@@ -171,26 +171,28 @@ pub fn build_report_channel_schedule(
         },
     })
     .collect();
-    let reporters: Vec<usize> = (0..n_reporters).collect();
-    let desyncs = par_map(&reporters, |&r| {
-        arrivals(
-            seed,
-            SALT_PHASE_DESYNC,
-            r,
-            cfg.desync_rate_hz,
-            cfg.horizon_s,
-        )
-        .into_iter()
-        .map(|(t, d)| ReportChannelFault {
-            at: SimTime::from_secs_f64(t),
-            reporter: r,
-            kind: ReportChannelFaultKind::PhaseDesync {
-                gain: cfg.desync_gain,
-                duration_s: d * cfg.desync_mean_s,
-            },
+    let desyncs: Vec<_> = (0..n_reporters)
+        .into_par_iter()
+        .map(|r| {
+            arrivals(
+                seed,
+                SALT_PHASE_DESYNC,
+                r,
+                cfg.desync_rate_hz,
+                cfg.horizon_s,
+            )
+            .into_iter()
+            .map(|(t, d)| ReportChannelFault {
+                at: SimTime::from_secs_f64(t),
+                reporter: r,
+                kind: ReportChannelFaultKind::PhaseDesync {
+                    gain: cfg.desync_gain,
+                    duration_s: d * cfg.desync_mean_s,
+                },
+            })
+            .collect::<Vec<_>>()
         })
-        .collect::<Vec<_>>()
-    });
+        .collect();
 
     let mut all: Vec<ReportChannelFault> = collapses
         .into_iter()

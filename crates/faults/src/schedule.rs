@@ -4,14 +4,14 @@
 //! The split-stream discipline mirrors the Monte-Carlo engine: because
 //! every unit draws from `derive(seed, salt ^ unit)`, building the
 //! schedule on 1 thread or N threads produces the same byte-for-byte
-//! event list — the per-unit lists are generated independently (in
-//! parallel when the `parallel` feature is on) and then sorted by the
-//! canonical key `(time, class, unit, ordinal)`.
+//! event list — the per-unit lists are generated independently (on the
+//! rayon pool) and then sorted by the canonical key
+//! `(time, class, unit, ordinal)`.
 
 use crate::model::{FaultConfig, FaultEvent, FaultKind, Topology};
-use crate::par_map;
 use comimo_math::rng::{derive, exponential_unit};
 use comimo_sim::time::SimTime;
+use rayon::prelude::*;
 
 const SALT_RELAY_DEATH: u64 = 0xFA17_0000_0001;
 const SALT_PU_RETURN: u64 = 0xFA17_0000_0002;
@@ -49,77 +49,86 @@ pub fn build_schedule(cfg: &FaultConfig, topo: &Topology, seed: u64) -> Vec<Faul
     if cfg.is_disabled() {
         return Vec::new();
     }
-    let nodes: Vec<usize> = (0..topo.n_nodes).collect();
-    let channels: Vec<usize> = (0..topo.n_channels).collect();
-    let clusters: Vec<usize> = (0..topo.n_clusters).collect();
 
-    let deaths = par_map(&nodes, |&node| {
-        arrivals(
-            seed,
-            SALT_RELAY_DEATH,
-            node,
-            cfg.relay_death_rate_hz,
-            cfg.horizon_s,
-        )
-        .into_iter()
-        // a node dies once; later arrivals on the same stream are moot
-        .take(1)
-        .map(|(t, _)| FaultEvent {
-            at: SimTime::from_secs_f64(t),
-            kind: FaultKind::RelayDeath { node },
+    let deaths: Vec<_> = (0..topo.n_nodes)
+        .into_par_iter()
+        .map(|node| {
+            arrivals(
+                seed,
+                SALT_RELAY_DEATH,
+                node,
+                cfg.relay_death_rate_hz,
+                cfg.horizon_s,
+            )
+            .into_iter()
+            // a node dies once; later arrivals on the same stream are moot
+            .take(1)
+            .map(|(t, _)| FaultEvent {
+                at: SimTime::from_secs_f64(t),
+                kind: FaultKind::RelayDeath { node },
+            })
+            .collect::<Vec<_>>()
         })
-        .collect::<Vec<_>>()
-    });
-    let returns = par_map(&channels, |&channel| {
-        arrivals(
-            seed,
-            SALT_PU_RETURN,
-            channel,
-            cfg.pu_return_rate_hz,
-            cfg.horizon_s,
-        )
-        .into_iter()
-        .map(|(t, d)| FaultEvent {
-            at: SimTime::from_secs_f64(t),
-            kind: FaultKind::PuReturn {
+        .collect();
+    let returns: Vec<_> = (0..topo.n_channels)
+        .into_par_iter()
+        .map(|channel| {
+            arrivals(
+                seed,
+                SALT_PU_RETURN,
                 channel,
-                duration_s: d * cfg.pu_return_mean_s,
-            },
-        })
-        .collect::<Vec<_>>()
-    });
-    let shadows = par_map(&nodes, |&node| {
-        arrivals(seed, SALT_SHADOW, node, cfg.shadow_rate_hz, cfg.horizon_s)
+                cfg.pu_return_rate_hz,
+                cfg.horizon_s,
+            )
             .into_iter()
             .map(|(t, d)| FaultEvent {
                 at: SimTime::from_secs_f64(t),
-                kind: FaultKind::ShadowBurst {
-                    node,
-                    extra_loss_db: cfg.shadow_depth_db,
-                    duration_s: d * cfg.shadow_mean_s,
+                kind: FaultKind::PuReturn {
+                    channel,
+                    duration_s: d * cfg.pu_return_mean_s,
                 },
             })
             .collect::<Vec<_>>()
-    });
-    let losses = par_map(&clusters, |&cluster| {
-        arrivals(
-            seed,
-            SALT_BROADCAST,
-            cluster,
-            cfg.broadcast_loss_rate_hz,
-            cfg.horizon_s,
-        )
-        .into_iter()
-        .map(|(t, d)| FaultEvent {
-            at: SimTime::from_secs_f64(t),
-            kind: FaultKind::BroadcastLoss {
-                cluster,
-                loss_prob: cfg.broadcast_loss_prob,
-                duration_s: d * cfg.broadcast_loss_mean_s,
-            },
         })
-        .collect::<Vec<_>>()
-    });
+        .collect();
+    let shadows: Vec<_> = (0..topo.n_nodes)
+        .into_par_iter()
+        .map(|node| {
+            arrivals(seed, SALT_SHADOW, node, cfg.shadow_rate_hz, cfg.horizon_s)
+                .into_iter()
+                .map(|(t, d)| FaultEvent {
+                    at: SimTime::from_secs_f64(t),
+                    kind: FaultKind::ShadowBurst {
+                        node,
+                        extra_loss_db: cfg.shadow_depth_db,
+                        duration_s: d * cfg.shadow_mean_s,
+                    },
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let losses: Vec<_> = (0..topo.n_clusters)
+        .into_par_iter()
+        .map(|cluster| {
+            arrivals(
+                seed,
+                SALT_BROADCAST,
+                cluster,
+                cfg.broadcast_loss_rate_hz,
+                cfg.horizon_s,
+            )
+            .into_iter()
+            .map(|(t, d)| FaultEvent {
+                at: SimTime::from_secs_f64(t),
+                kind: FaultKind::BroadcastLoss {
+                    cluster,
+                    loss_prob: cfg.broadcast_loss_prob,
+                    duration_s: d * cfg.broadcast_loss_mean_s,
+                },
+            })
+            .collect::<Vec<_>>()
+        })
+        .collect();
 
     let mut all: Vec<FaultEvent> = deaths
         .into_iter()

@@ -19,9 +19,9 @@
 //! Poisson arrivals, canonical `(time, class, reporter)` sort — a pure
 //! function of `(config, n_reporters, seed)` at any thread count.
 
-use crate::par_map;
 use crate::schedule::arrivals;
 use comimo_sim::time::SimTime;
+use rayon::prelude::*;
 use serde::Serialize;
 
 const SALT_STUCK_H0: u64 = 0xFA17_0000_0005;
@@ -172,56 +172,67 @@ pub fn build_reporter_schedule(
     if cfg.is_disabled() {
         return Vec::new();
     }
-    let reporters: Vec<usize> = (0..n_reporters).collect();
-    let stuck_h0 = par_map(&reporters, |&r| {
-        arrivals(seed, SALT_STUCK_H0, r, cfg.stuck_h0_rate_hz, cfg.horizon_s)
-            .into_iter()
-            .map(|(t, d)| ReporterFaultEvent {
-                at: SimTime::from_secs_f64(t),
-                reporter: r,
-                kind: ReporterFaultKind::StuckAtH0 {
-                    duration_s: d * cfg.stuck_mean_s,
-                },
-            })
-            .collect::<Vec<_>>()
-    });
-    let stuck_h1 = par_map(&reporters, |&r| {
-        arrivals(seed, SALT_STUCK_H1, r, cfg.stuck_h1_rate_hz, cfg.horizon_s)
-            .into_iter()
-            .map(|(t, d)| ReporterFaultEvent {
-                at: SimTime::from_secs_f64(t),
-                reporter: r,
-                kind: ReporterFaultKind::StuckAtH1 {
-                    duration_s: d * cfg.stuck_mean_s,
-                },
-            })
-            .collect::<Vec<_>>()
-    });
-    let deaths = par_map(&reporters, |&r| {
-        arrivals(seed, SALT_SILENT_DEATH, r, cfg.death_rate_hz, cfg.horizon_s)
-            .into_iter()
-            // a reporter dies once; later arrivals on the stream are moot
-            .take(1)
-            .map(|(t, _)| ReporterFaultEvent {
-                at: SimTime::from_secs_f64(t),
-                reporter: r,
-                kind: ReporterFaultKind::SilentDeath,
-            })
-            .collect::<Vec<_>>()
-    });
-    let delays = par_map(&reporters, |&r| {
-        arrivals(seed, SALT_REPORT_DELAY, r, cfg.delay_rate_hz, cfg.horizon_s)
-            .into_iter()
-            .map(|(t, d)| ReporterFaultEvent {
-                at: SimTime::from_secs_f64(t),
-                reporter: r,
-                kind: ReporterFaultKind::ReportDelay {
-                    delay_s: cfg.delay_s,
-                    duration_s: d * cfg.delay_mean_s,
-                },
-            })
-            .collect::<Vec<_>>()
-    });
+    let stuck_h0: Vec<_> = (0..n_reporters)
+        .into_par_iter()
+        .map(|r| {
+            arrivals(seed, SALT_STUCK_H0, r, cfg.stuck_h0_rate_hz, cfg.horizon_s)
+                .into_iter()
+                .map(|(t, d)| ReporterFaultEvent {
+                    at: SimTime::from_secs_f64(t),
+                    reporter: r,
+                    kind: ReporterFaultKind::StuckAtH0 {
+                        duration_s: d * cfg.stuck_mean_s,
+                    },
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let stuck_h1: Vec<_> = (0..n_reporters)
+        .into_par_iter()
+        .map(|r| {
+            arrivals(seed, SALT_STUCK_H1, r, cfg.stuck_h1_rate_hz, cfg.horizon_s)
+                .into_iter()
+                .map(|(t, d)| ReporterFaultEvent {
+                    at: SimTime::from_secs_f64(t),
+                    reporter: r,
+                    kind: ReporterFaultKind::StuckAtH1 {
+                        duration_s: d * cfg.stuck_mean_s,
+                    },
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let deaths: Vec<_> = (0..n_reporters)
+        .into_par_iter()
+        .map(|r| {
+            arrivals(seed, SALT_SILENT_DEATH, r, cfg.death_rate_hz, cfg.horizon_s)
+                .into_iter()
+                // a reporter dies once; later arrivals on the stream are moot
+                .take(1)
+                .map(|(t, _)| ReporterFaultEvent {
+                    at: SimTime::from_secs_f64(t),
+                    reporter: r,
+                    kind: ReporterFaultKind::SilentDeath,
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let delays: Vec<_> = (0..n_reporters)
+        .into_par_iter()
+        .map(|r| {
+            arrivals(seed, SALT_REPORT_DELAY, r, cfg.delay_rate_hz, cfg.horizon_s)
+                .into_iter()
+                .map(|(t, d)| ReporterFaultEvent {
+                    at: SimTime::from_secs_f64(t),
+                    reporter: r,
+                    kind: ReporterFaultKind::ReportDelay {
+                        delay_s: cfg.delay_s,
+                        duration_s: d * cfg.delay_mean_s,
+                    },
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
 
     let mut all: Vec<ReporterFaultEvent> = stuck_h0
         .into_iter()

@@ -31,8 +31,6 @@
 //!   unless overridden.
 //! * Environment: `COMIMO_SIMD=scalar|lanes|avx2|auto` pins the tier for a
 //!   whole process (read once, at first use). Unknown values panic.
-//! * Compile time: the `force-scalar` cargo feature pins `Scalar`
-//!   unconditionally (for auditing runs on exotic targets).
 //! * In process: [`force`] switches the tier programmatically (used by
 //!   `mcperf` to time each tier in one process); kernels also exist as
 //!   `*_with` variants taking an explicit [`Dispatch`] so tests can compare
@@ -125,13 +123,9 @@ fn env_default() -> Dispatch {
 static FORCED: AtomicU8 = AtomicU8::new(0);
 static DEFAULT: OnceLock<Dispatch> = OnceLock::new();
 
-/// The tier currently in effect, in precedence order: the `force-scalar`
-/// compile feature, then the latest [`force`] call, then `COMIMO_SIMD`,
-/// then CPU detection.
+/// The tier currently in effect, in precedence order: the latest
+/// [`force`] call, then `COMIMO_SIMD`, then CPU detection.
 pub fn active() -> Dispatch {
-    if cfg!(feature = "force-scalar") {
-        return Dispatch::Scalar;
-    }
     match Dispatch::from_u8(FORCED.load(Ordering::Relaxed)) {
         Some(d) => d,
         None => *DEFAULT.get_or_init(env_default),
@@ -140,16 +134,12 @@ pub fn active() -> Dispatch {
 
 /// Forces the dispatch tier for the whole process (until the next call).
 ///
-/// Returns `Err` when the CPU cannot run `d` or the `force-scalar` feature
-/// pins the tier at compile time. Intended for single-threaded tools
+/// Returns `Err` when the CPU cannot run `d`. Intended for single-threaded tools
 /// (`mcperf` times every tier in one process); concurrent engines read the
 /// tier per chunk, so flipping it mid-simulation from another thread would
 /// not corrupt results — every tier computes identical bits — but tests
 /// should prefer the `*_with` kernel variants over this global.
 pub fn force(d: Dispatch) -> Result<(), &'static str> {
-    if cfg!(feature = "force-scalar") && d != Dispatch::Scalar {
-        return Err("comimo-math was built with the force-scalar feature");
-    }
     if !d.supported() {
         return Err("dispatch tier not supported by this CPU");
     }
@@ -841,10 +831,6 @@ mod tests {
         // never leave a forced tier behind: other tests read active()
         let before = active();
         for d in tiers() {
-            if cfg!(feature = "force-scalar") && d != Dispatch::Scalar {
-                assert!(force(d).is_err());
-                continue;
-            }
             force(d).expect("supported tier must force");
             assert_eq!(active(), d);
         }

@@ -171,7 +171,7 @@ impl CoMimoNet {
 
     /// Mutable access to the SU graph — for battery drain during traffic
     /// simulation. Structural changes (positions, deaths) require a
-    /// follow-up [`Self::kill_node_and_reconfigure`] or rebuild; battery
+    /// follow-up [`Self::try_kill_node_and_reconfigure`] or rebuild; battery
     /// changes only require [`Self::refresh_head`] where head optimality
     /// matters.
     pub fn graph_mut(&mut self) -> &mut SuGraph {
@@ -331,14 +331,6 @@ impl CoMimoNet {
         self.cluster_adj = ca;
         self.backbone_adj = ba;
         validate_clustering(&self.graph, &self.clusters, self.d)
-    }
-
-    /// Panicking wrapper of [`Self::try_kill_node_and_reconfigure`] — the
-    /// historical API, for callers that treat a broken reconfiguration as
-    /// a programming error.
-    pub fn kill_node_and_reconfigure(&mut self, node: usize) {
-        self.try_kill_node_and_reconfigure(node)
-            .expect("reconfiguration violated clustering invariants");
     }
 
     /// Incremental form of [`Self::try_kill_node_and_reconfigure`]: the SU
@@ -588,8 +580,8 @@ mod tests {
     fn reconfiguration_after_node_death() {
         let mut net = two_cluster_net();
         let head0 = net.clusters()[0].head;
-        net.kill_node_and_reconfigure(head0);
         // invariants hold after reconfiguration
+        net.try_kill_node_and_reconfigure(head0).unwrap();
         crate::cluster::validate_clustering(net.graph(), net.clusters(), 5.0).unwrap();
         // the dead node is gone from every cluster
         assert!(net.clusters().iter().all(|c| !c.contains(head0)));

@@ -23,10 +23,8 @@
 use crate::detector::EnergyDetector;
 use crate::fusion::{FusionConfig, FusionRule, RuleUsed};
 use crate::reputation::{ReputationConfig, ReputationTracker};
-use crate::round::{run_round_byz, ReportChannelConfig, SensingError, SensingRound};
-use comimo_campaign::{
-    fingerprint64, run_campaign_multi, CampaignConfig, CampaignError, CampaignReport,
-};
+use crate::round::{run_round_byz, ReportChannelConfig, SensingError, SensingRound, SweepError};
+use comimo_campaign::{fingerprint64, run_campaign_multi, CampaignConfig, CampaignReport};
 use comimo_faults::byzantine::{ByzantineConfig, ByzantineSuite};
 use comimo_faults::sensing::ReporterState;
 use comimo_math::db::db_to_lin;
@@ -236,32 +234,6 @@ impl ByzCell {
     }
 }
 
-/// A byzantine sweep campaign could not run.
-#[derive(Debug)]
-pub enum ByzError {
-    /// The sweep spec failed validation.
-    Spec(SensingError),
-    /// The campaign supervisor refused to start.
-    Campaign(CampaignError),
-}
-
-impl std::fmt::Display for ByzError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Spec(e) => write!(f, "byzantine sweep spec: {e}"),
-            Self::Campaign(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for ByzError {}
-
-impl From<CampaignError> for ByzError {
-    fn from(e: CampaignError) -> Self {
-        Self::Campaign(e)
-    }
-}
-
 /// The pure per-shard function: one independent replicate per point —
 /// cast the adversaries, train a fresh reputation tracker through the
 /// warmup window on weighted verdicts, then count `rounds` slots for
@@ -367,8 +339,8 @@ pub fn byz_shard_counts(
 pub fn run_byz_campaign(
     spec: &ByzSweepSpec,
     cfg: &CampaignConfig,
-) -> Result<(CampaignReport, Vec<ByzCell>), ByzError> {
-    spec.validate().map_err(ByzError::Spec)?;
+) -> Result<(CampaignReport, Vec<ByzCell>), SweepError> {
+    spec.validate().map_err(SweepError::Spec)?;
     let shards: Vec<(u64, usize)> = (0..spec.n_shards)
         .map(|l| (l, spec.rounds_per_shard as usize))
         .collect();
@@ -611,7 +583,7 @@ mod tests {
             let cfg = CampaignConfig::new(SEED, 0);
             assert!(matches!(
                 run_byz_campaign(&spec, &cfg),
-                Err(ByzError::Spec(SensingError::InvalidSpec { .. }))
+                Err(SweepError::Spec(SensingError::InvalidSpec { .. }))
             ));
         }
     }

@@ -41,7 +41,7 @@ pub mod reputation;
 pub mod roc;
 pub mod round;
 
-pub use byz::{byz_shard_counts, run_byz_campaign, ByzCell, ByzError, ByzSweepSpec};
+pub use byz::{byz_shard_counts, run_byz_campaign, ByzCell, ByzSweepSpec};
 pub use detector::EnergyDetector;
 pub use fusion::{
     fuse, fuse_reports, fuse_soft, fused_positive_prob, quorum_of, FusionConfig, FusionDecision,
@@ -57,5 +57,5 @@ pub use roc::{
 };
 pub use round::{
     run_round, run_round_byz, run_round_faulted, ReportChannelConfig, ReportSummary, RoundOutcome,
-    SensingError, SensingRound,
+    SensingError, SensingRound, SweepError,
 };

@@ -22,9 +22,8 @@
 use crate::detector::EnergyDetector;
 use crate::fusion::{fuse_soft, quorum_of, FusionConfig, FusionRule};
 use crate::reputation::ReputationView;
-use comimo_campaign::{
-    fingerprint64, run_campaign_multi, CampaignConfig, CampaignError, CampaignReport,
-};
+use crate::round::{SensingError, SweepError};
+use comimo_campaign::{fingerprint64, run_campaign_multi, CampaignConfig, CampaignReport};
 use comimo_channel::BlockRayleigh;
 use comimo_math::rng::derive;
 use comimo_stbc::report::{ReportWordConfig, SoftReport};
@@ -91,6 +90,38 @@ impl RocGridSpec {
             trials_per_shard: 400,
             n_shards: 24,
         }
+    }
+
+    /// Rejects every spec a shard could not run to completion — the
+    /// typed front door for the asserts inside the detector CFAR solver
+    /// and the fusion quorum maths.
+    pub fn validate(&self) -> Result<(), SensingError> {
+        let invalid = |what| Err(SensingError::InvalidSpec { what });
+        if self.n_samples == 0 {
+            return invalid("n_samples must be >= 1");
+        }
+        if !self.target_pfa.is_finite() || self.target_pfa <= 0.0 || self.target_pfa >= 1.0 {
+            return invalid("target_pfa must be in (0, 1)");
+        }
+        if self.n_reporters == 0 {
+            return invalid("n_reporters must be >= 1");
+        }
+        if self.report_snrs_db.is_empty() || self.snrs_db.is_empty() || self.k_fracs.is_empty() {
+            return invalid("report_snrs_db, snrs_db and k_fracs axes must not be empty");
+        }
+        if self.snrs_db.iter().any(|s| !s.is_finite()) {
+            return invalid("every snrs_db value must be finite");
+        }
+        if self.report_snrs_db.iter().any(|s| s.is_nan()) {
+            return invalid("no report_snrs_db value may be NaN");
+        }
+        if self.k_fracs.iter().any(|&k| !(k > 0.0 && k <= 1.0)) {
+            return invalid("every k_frac must be in (0, 1]");
+        }
+        if self.trials_per_shard == 0 || self.n_shards == 0 {
+            return invalid("trials_per_shard and n_shards must be >= 1");
+        }
+        Ok(())
     }
 
     /// The grid points in stream order: `report_snrs_db` outermost,
@@ -174,7 +205,7 @@ impl RocPoint {
 /// The pure per-shard function: for every grid point, `trials` fused
 /// decisions under each hypothesis, streamed as
 /// `[point0-H1, point0-H0, point1-H1, ...]`. Counts depend only on
-/// `(spec, seed, label)`.
+/// `(spec, seed, label)`. The spec must be [`RocGridSpec::validate`]-clean.
 pub fn roc_shard_counts(
     spec: &RocGridSpec,
     seed: u64,
@@ -248,10 +279,13 @@ pub fn roc_shard_counts_with_view(
 /// Runs the ROC campaign under `cfg` (checkpointing, crash-resume, stop
 /// flags and thread-count bit-identity all inherited from the
 /// supervisor) and folds the merged stream counts back into ROC points.
+/// A spec that fails [`RocGridSpec::validate`] returns
+/// [`SweepError::Spec`] before any shard runs.
 pub fn run_roc_campaign(
     spec: &RocGridSpec,
     cfg: &CampaignConfig,
-) -> Result<(CampaignReport, Vec<RocPoint>), CampaignError> {
+) -> Result<(CampaignReport, Vec<RocPoint>), SweepError> {
+    spec.validate().map_err(SweepError::Spec)?;
     let shards: Vec<(u64, usize)> = (0..spec.n_shards)
         .map(|l| (l, spec.trials_per_shard as usize))
         .collect();

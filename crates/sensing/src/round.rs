@@ -22,6 +22,7 @@
 use crate::detector::EnergyDetector;
 use crate::fusion::{fuse_reports, fuse_soft, FusionConfig, FusionDecision, LadderEvidence};
 use crate::reputation::ReputationView;
+use comimo_campaign::CampaignError;
 use comimo_channel::BlockRayleigh;
 use comimo_faults::byzantine::ReportOverride;
 use comimo_faults::report_channel::ReportChannelState;
@@ -129,7 +130,8 @@ pub enum SensingError {
         delay_s: f64,
     },
     /// A sweep/campaign spec failed validation before any shard ran
-    /// (see [`crate::byz::ByzSweepSpec::validate`]).
+    /// (see [`crate::byz::ByzSweepSpec::validate`] and
+    /// [`crate::roc::RocGridSpec::validate`]).
     InvalidSpec {
         /// What was wrong.
         what: &'static str,
@@ -157,6 +159,32 @@ impl std::error::Error for SensingError {}
 impl From<ReportError> for SensingError {
     fn from(e: ReportError) -> Self {
         Self::Transport(e)
+    }
+}
+
+/// A sensing sweep campaign (ROC grid or byzantine sweep) could not run.
+#[derive(Debug)]
+pub enum SweepError {
+    /// The sweep spec failed validation; no shard ran.
+    Spec(SensingError),
+    /// The campaign supervisor refused to start.
+    Campaign(CampaignError),
+}
+
+impl std::fmt::Display for SweepError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Spec(e) => write!(f, "{e}"),
+            Self::Campaign(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for SweepError {}
+
+impl From<CampaignError> for SweepError {
+    fn from(e: CampaignError) -> Self {
+        Self::Campaign(e)
     }
 }
 

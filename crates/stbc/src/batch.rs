@@ -39,8 +39,8 @@
 //! to its thread pool — and each shard consumes its stream in a fixed
 //! order (channel fill, raw symbol words, raw unit-σ noise, per chunk).
 //! The result is therefore a pure function of `(seed, n_blocks)`:
-//! bit-identical across thread counts, across SIMD dispatch tiers, and
-//! with `--no-default-features`. The batch draw order legitimately differs
+//! bit-identical across thread counts (`RAYON_NUM_THREADS=1` included)
+//! and across SIMD dispatch tiers. The batch draw order legitimately differs
 //! from the scalar oracle's (bulk Box–Muller vs per-coefficient polar
 //! rejection), so the two engines agree statistically, not bit-for-bit.
 

@@ -32,7 +32,7 @@
 //! ([`crate::batch::BatchWorkspace`]) *is* this engine with a single
 //! configuration, so grid results are **bit-identical** to per-point runs:
 //! `simulate_ber_grid(seed, …)[i] == simulate_ber_par(seed, points[i])`,
-//! at any thread count, with or without the `parallel` feature.
+//! at any thread count, `RAYON_NUM_THREADS=1` included.
 //!
 //! # Lane parallelism
 //!
@@ -50,6 +50,7 @@ use comimo_math::batch::{complex_gaussian_fill, fill_u64, map_range_u32};
 use comimo_math::complex::Complex;
 use comimo_math::simd::{self, F64x4};
 use rand::RngCore;
+use rayon::prelude::*;
 
 /// One grid configuration: a constellation at a transmit/noise energy
 /// operating point (the paper's `(b, Es, N0)` triple).
@@ -817,7 +818,7 @@ pub fn simulate_ber_grid(
 }
 
 /// Deterministic parallel grid simulation: [`shard_plan`] shards on the
-/// rayon pool (serial without the `parallel` feature), one derived stream
+/// rayon pool (in order on one thread at `RAYON_NUM_THREADS=1`), one derived stream
 /// and one [`GridWorkspace`] per shard, counts merged per grid point.
 /// Bit-identical to [`simulate_ber_grid`] at any thread count.
 pub fn simulate_ber_grid_par(
@@ -835,13 +836,7 @@ pub fn simulate_ber_grid_par(
         ws.simulate_into(&mut rng, blocks, &mut out);
         out
     };
-    #[cfg(feature = "parallel")]
-    let parts: Vec<Vec<BerResult>> = {
-        use rayon::prelude::*;
-        shards.par_iter().map(run).collect()
-    };
-    #[cfg(not(feature = "parallel"))]
-    let parts: Vec<Vec<BerResult>> = shards.iter().map(run).collect();
+    let parts: Vec<Vec<BerResult>> = shards.par_iter().map(run).collect();
     let mut total = vec![BerResult { bits: 0, errors: 0 }; points.len()];
     for part in parts {
         for (acc, p) in total.iter_mut().zip(&part) {

@@ -12,6 +12,7 @@ use comimo_math::complex::Complex;
 use comimo_math::rng::complex_gaussian;
 use comimo_math::special::q_function;
 use rand::Rng;
+use rayon::prelude::*;
 
 /// A Gray-coded square/rectangular PSK-for-small-b constellation used by the
 /// simulator: BPSK for `b = 1`, QPSK for `b = 2` (Gray), and square M-QAM
@@ -286,8 +287,8 @@ pub fn shard_plan(n_blocks: usize) -> impl Iterator<Item = (u64, usize)> {
 /// Because the shard decomposition and the per-shard streams depend only
 /// on `(seed, n_blocks)` — never on the scheduler — the result is
 /// **bit-identical for any thread count**, including
-/// `RAYON_NUM_THREADS=1` and builds without the `parallel` feature
-/// (which run the same shards sequentially). It equals
+/// `RAYON_NUM_THREADS=1` (which runs the same shards sequentially on the
+/// calling thread). It equals
 /// [`crate::batch::simulate_ber_batch`] exactly: that function *is* the
 /// serial replay of this decomposition. The per-block scalar oracle
 /// ([`simulate_ber`]) agrees statistically, not bit-for-bit — the batch
@@ -307,13 +308,7 @@ pub fn simulate_ber_par(
         let mut ws = crate::batch::BatchWorkspace::new(code, constellation, mr);
         ws.simulate(&mut rng, es, n0, blocks)
     };
-    #[cfg(feature = "parallel")]
-    let parts: Vec<BerResult> = {
-        use rayon::prelude::*;
-        shards.par_iter().map(run).collect()
-    };
-    #[cfg(not(feature = "parallel"))]
-    let parts: Vec<BerResult> = shards.iter().map(run).collect();
+    let parts: Vec<BerResult> = shards.par_iter().map(run).collect();
     parts
         .into_iter()
         .fold(BerResult { bits: 0, errors: 0 }, |acc, p| BerResult {

@@ -21,6 +21,7 @@ use comimo_core::interweave::TransmitPair;
 use comimo_math::complex::Complex;
 use comimo_math::rng::complex_gaussian;
 use rand::Rng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the beam-scan rig.
@@ -93,18 +94,21 @@ pub fn run(cfg: &BeamScanConfig, seed: u64) -> Vec<BeamScanPoint> {
         .enumerate()
         .map(|(i, &sp)| (i as u64, sp))
         .collect();
-    crate::par_map(&indexed, |&(i, (angle_deg, p))| {
-        let mut rng = comimo_math::rng::derive(seed, i);
-        let ideal = pair.amplitude_at(p, delta);
-        let measured = measure(&mut rng, cfg, &pair, p, delta, true);
-        let siso = measure(&mut rng, cfg, &pair, p, delta, false);
-        BeamScanPoint {
-            angle_deg,
-            simulated: ideal / peak,
-            measured_beamformer: measured / peak,
-            measured_siso: siso / peak,
-        }
-    })
+    indexed
+        .par_iter()
+        .map(|&(i, (angle_deg, p))| {
+            let mut rng = comimo_math::rng::derive(seed, i);
+            let ideal = pair.amplitude_at(p, delta);
+            let measured = measure(&mut rng, cfg, &pair, p, delta, true);
+            let siso = measure(&mut rng, cfg, &pair, p, delta, false);
+            BeamScanPoint {
+                angle_deg,
+                simulated: ideal / peak,
+                measured_beamformer: measured / peak,
+                measured_siso: siso / peak,
+            }
+        })
+        .collect()
 }
 
 /// Averages `n_snapshots` amplitude measurements at a receiver position,

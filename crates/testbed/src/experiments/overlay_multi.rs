@@ -15,6 +15,7 @@ use crate::bpsk_link::{decode_and_forward, decode_egc, decode_single, transmit_b
 use crate::calib::TestbedCalibration;
 use comimo_channel::obstacle::multi_relay_corridor;
 use comimo_dsp::bits::{count_bit_errors, pn_sequence};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the multi-relay rig.
@@ -93,66 +94,68 @@ pub fn run(cfg: &MultiRelayConfig, seed: u64) -> MultiRelayRow {
     // one derived stream per experiment; the experiments run on the rayon
     // pool and their per-run BER triples are folded back in input order,
     // so the average is bit-identical to the serial loop
-    let experiments: Vec<usize> = (0..cfg.n_experiments).collect();
-    let per_run = crate::par_map(&experiments, |&e| {
-        let mut rng = comimo_math::rng::derive(seed, e as u64);
-        let bits = pn_sequence(0xC0DE ^ e as u16, cfg.n_bits);
-        let mut errs = (0u64, 0u64, 0u64);
-        for chunk in bits.chunks(cfg.packet_bits) {
-            let direct = transmit_bpsk(
-                &mut rng,
-                chunk,
-                cfg.calib.mean_snr(tx, rx, &env, 1.0),
-                k_of(tx, rx),
-            );
-            // every relay hears the same broadcast (independent channels)
-            let relayed: Vec<Branch> = relays
-                .iter()
-                .map(|&r| {
-                    let up = transmit_bpsk(
-                        &mut rng,
-                        chunk,
-                        cfg.calib.mean_snr(tx, r, &env, 1.0),
-                        k_of(tx, r),
-                    );
-                    decode_and_forward(
-                        &mut rng,
-                        &up,
-                        cfg.calib.mean_snr(r, rx, &env, 1.0),
-                        k_of(r, rx),
-                    )
-                })
-                .collect();
-            // single-relay case: the middle relay only (fresh channel draw)
-            let up_mid = transmit_bpsk(
-                &mut rng,
-                chunk,
-                cfg.calib.mean_snr(tx, mid, &env, 1.0),
-                k_of(tx, mid),
-            );
-            let mid_fwd = decode_and_forward(
-                &mut rng,
-                &up_mid,
-                cfg.calib.mean_snr(mid, rx, &env, 1.0),
-                k_of(mid, rx),
-            );
+    let per_run: Vec<_> = (0..cfg.n_experiments)
+        .into_par_iter()
+        .map(|e| {
+            let mut rng = comimo_math::rng::derive(seed, e as u64);
+            let bits = pn_sequence(0xC0DE ^ e as u16, cfg.n_bits);
+            let mut errs = (0u64, 0u64, 0u64);
+            for chunk in bits.chunks(cfg.packet_bits) {
+                let direct = transmit_bpsk(
+                    &mut rng,
+                    chunk,
+                    cfg.calib.mean_snr(tx, rx, &env, 1.0),
+                    k_of(tx, rx),
+                );
+                // every relay hears the same broadcast (independent channels)
+                let relayed: Vec<Branch> = relays
+                    .iter()
+                    .map(|&r| {
+                        let up = transmit_bpsk(
+                            &mut rng,
+                            chunk,
+                            cfg.calib.mean_snr(tx, r, &env, 1.0),
+                            k_of(tx, r),
+                        );
+                        decode_and_forward(
+                            &mut rng,
+                            &up,
+                            cfg.calib.mean_snr(r, rx, &env, 1.0),
+                            k_of(r, rx),
+                        )
+                    })
+                    .collect();
+                // single-relay case: the middle relay only (fresh channel draw)
+                let up_mid = transmit_bpsk(
+                    &mut rng,
+                    chunk,
+                    cfg.calib.mean_snr(tx, mid, &env, 1.0),
+                    k_of(tx, mid),
+                );
+                let mid_fwd = decode_and_forward(
+                    &mut rng,
+                    &up_mid,
+                    cfg.calib.mean_snr(mid, rx, &env, 1.0),
+                    k_of(mid, rx),
+                );
 
-            let dec_direct = decode_single(&direct);
-            errs.2 += count_bit_errors(chunk, &dec_direct[..chunk.len()]);
+                let dec_direct = decode_single(&direct);
+                errs.2 += count_bit_errors(chunk, &dec_direct[..chunk.len()]);
 
-            let mut single_branches = vec![direct.clone()];
-            single_branches.push(mid_fwd);
-            let dec_single = decode_egc(&single_branches);
-            errs.1 += count_bit_errors(chunk, &dec_single[..chunk.len()]);
+                let mut single_branches = vec![direct.clone()];
+                single_branches.push(mid_fwd);
+                let dec_single = decode_egc(&single_branches);
+                errs.1 += count_bit_errors(chunk, &dec_single[..chunk.len()]);
 
-            let mut multi_branches = vec![direct];
-            multi_branches.extend(relayed);
-            let dec_multi = decode_egc(&multi_branches);
-            errs.0 += count_bit_errors(chunk, &dec_multi[..chunk.len()]);
-        }
-        let n = bits.len() as f64;
-        (errs.0 as f64 / n, errs.1 as f64 / n, errs.2 as f64 / n)
-    });
+                let mut multi_branches = vec![direct];
+                multi_branches.extend(relayed);
+                let dec_multi = decode_egc(&multi_branches);
+                errs.0 += count_bit_errors(chunk, &dec_multi[..chunk.len()]);
+            }
+            let n = bits.len() as f64;
+            (errs.0 as f64 / n, errs.1 as f64 / n, errs.2 as f64 / n)
+        })
+        .collect();
     let mut sums = (0.0, 0.0, 0.0);
     for (m, s, d) in per_run {
         sums.0 += m;

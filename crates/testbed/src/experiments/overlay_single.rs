@@ -16,6 +16,7 @@ use crate::bpsk_link::{decode_and_forward, decode_egc, decode_single, transmit_b
 use crate::calib::TestbedCalibration;
 use comimo_channel::obstacle::single_relay_room;
 use comimo_dsp::bits::{count_bit_errors, pn_sequence};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the single-relay rig.
@@ -97,28 +98,30 @@ pub fn run(cfg: &SingleRelayConfig, seed: u64) -> SingleRelayResult {
     };
     // one derived stream per experiment, so the experiments can run on the
     // rayon pool without changing the reported rows
-    let experiments: Vec<usize> = (0..cfg.n_experiments).collect();
-    let rows = crate::par_map(&experiments, |&e| {
-        let mut rng = comimo_math::rng::derive(seed, e as u64);
-        let bits = pn_sequence(0x5EED ^ e as u16, cfg.n_bits);
-        let mut errs_coop = 0u64;
-        let mut errs_direct = 0u64;
-        for chunk in bits.chunks(cfg.packet_bits) {
-            // direct branch through the board
-            let direct = transmit_bpsk(&mut rng, chunk, snr_direct, k_direct);
-            // relay leg: Tx -> relay (clear), DF, relay -> Rx (clear)
-            let at_relay = transmit_bpsk(&mut rng, chunk, snr_tx_relay, cfg.k_los);
-            let relayed = decode_and_forward(&mut rng, &at_relay, snr_relay_rx, cfg.k_los);
-            let dec_direct = decode_single(&direct);
-            let dec_coop = decode_egc(&[direct, relayed]);
-            errs_direct += count_bit_errors(chunk, &dec_direct[..chunk.len()]);
-            errs_coop += count_bit_errors(chunk, &dec_coop[..chunk.len()]);
-        }
-        SingleRelayRow {
-            ber_coop: errs_coop as f64 / bits.len() as f64,
-            ber_direct: errs_direct as f64 / bits.len() as f64,
-        }
-    });
+    let rows: Vec<_> = (0..cfg.n_experiments)
+        .into_par_iter()
+        .map(|e| {
+            let mut rng = comimo_math::rng::derive(seed, e as u64);
+            let bits = pn_sequence(0x5EED ^ e as u16, cfg.n_bits);
+            let mut errs_coop = 0u64;
+            let mut errs_direct = 0u64;
+            for chunk in bits.chunks(cfg.packet_bits) {
+                // direct branch through the board
+                let direct = transmit_bpsk(&mut rng, chunk, snr_direct, k_direct);
+                // relay leg: Tx -> relay (clear), DF, relay -> Rx (clear)
+                let at_relay = transmit_bpsk(&mut rng, chunk, snr_tx_relay, cfg.k_los);
+                let relayed = decode_and_forward(&mut rng, &at_relay, snr_relay_rx, cfg.k_los);
+                let dec_direct = decode_single(&direct);
+                let dec_coop = decode_egc(&[direct, relayed]);
+                errs_direct += count_bit_errors(chunk, &dec_direct[..chunk.len()]);
+                errs_coop += count_bit_errors(chunk, &dec_coop[..chunk.len()]);
+            }
+            SingleRelayRow {
+                ber_coop: errs_coop as f64 / bits.len() as f64,
+                ber_direct: errs_direct as f64 / bits.len() as f64,
+            }
+        })
+        .collect();
     SingleRelayResult { rows }
 }
 

@@ -34,6 +34,7 @@ use comimo_dsp::gmsk::GmskModem;
 use comimo_math::complex::Complex;
 use comimo_math::rng::complex_gaussian;
 use rand::Rng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the underlay rig.
@@ -190,39 +191,41 @@ pub fn run(cfg: &UnderlayImageConfig, amplitudes: &[u32], seed: u64) -> Underlay
             // every packet has its own derived stream covering both its
             // cooperative and solo transmission, so the packets fan out
             // onto the rayon pool without changing either PER column
-            let packets: Vec<usize> = (0..cfg.n_packets).collect();
-            let outcomes = crate::par_map(&packets, |&p| {
-                let start = (p * cfg.packet_bytes) % image.pixels.len();
-                let end = (start + cfg.packet_bytes).min(image.pixels.len());
-                let payload = &image.pixels[start..end];
-                let framed = codec.encode(payload);
-                let bits = if cfg.use_fec {
-                    comimo_dsp::fec::conv_encode(&framed)
-                } else {
-                    framed.clone()
-                };
-                // one waveform for both sends; a packet "errors" when its
-                // CRC fails at the receiver
-                let tx = modem.modulate(&bits);
-                let mut rx = Vec::with_capacity(tx.len());
-                let mut rng = comimo_math::rng::derive(seed, (ai as u64) << 32 | p as u64);
-                let mut delivered = |cooperative: bool| {
-                    link.receive(&mut rng, &tx, cooperative, &mut rx);
-                    let decided = modem.demodulate(&rx, bits.len());
-                    let frame_bits = if cfg.use_fec {
-                        comimo_dsp::fec::conv_decode_hard(&decided, framed.len())
+            let outcomes: Vec<_> = (0..cfg.n_packets)
+                .into_par_iter()
+                .map(|p| {
+                    let start = (p * cfg.packet_bytes) % image.pixels.len();
+                    let end = (start + cfg.packet_bytes).min(image.pixels.len());
+                    let payload = &image.pixels[start..end];
+                    let framed = codec.encode(payload);
+                    let bits = if cfg.use_fec {
+                        comimo_dsp::fec::conv_encode(&framed)
                     } else {
-                        decided
+                        framed.clone()
                     };
-                    codec
-                        .decode(&frame_bits)
-                        .is_some_and(|f| f.payload == payload)
-                };
-                // the cooperative send draws first
-                let coop_ok = delivered(true);
-                let solo_ok = delivered(false);
-                (coop_ok, solo_ok)
-            });
+                    // one waveform for both sends; a packet "errors" when its
+                    // CRC fails at the receiver
+                    let tx = modem.modulate(&bits);
+                    let mut rx = Vec::with_capacity(tx.len());
+                    let mut rng = comimo_math::rng::derive(seed, (ai as u64) << 32 | p as u64);
+                    let mut delivered = |cooperative: bool| {
+                        link.receive(&mut rng, &tx, cooperative, &mut rx);
+                        let decided = modem.demodulate(&rx, bits.len());
+                        let frame_bits = if cfg.use_fec {
+                            comimo_dsp::fec::conv_decode_hard(&decided, framed.len())
+                        } else {
+                            decided
+                        };
+                        codec
+                            .decode(&frame_bits)
+                            .is_some_and(|f| f.payload == payload)
+                    };
+                    // the cooperative send draws first
+                    let coop_ok = delivered(true);
+                    let solo_ok = delivered(false);
+                    (coop_ok, solo_ok)
+                })
+                .collect();
             let failures = outcomes.iter().fold((0usize, 0usize), |acc, &(c, s)| {
                 (acc.0 + usize::from(!c), acc.1 + usize::from(!s))
             });

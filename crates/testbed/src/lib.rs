@@ -33,27 +33,3 @@ pub mod usrp;
 
 pub use calib::TestbedCalibration;
 pub use usrp::UsrpFrontEnd;
-
-/// Maps `f` over `items` — on the rayon pool when the `parallel` feature
-/// is on, serially otherwise. Output order always matches input order, so
-/// the two paths are interchangeable bit-for-bit; callers must derive any
-/// randomness per item (never thread one stream through the loop).
-#[cfg(feature = "parallel")]
-pub(crate) fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Send + Sync,
-{
-    use rayon::prelude::*;
-    items.par_iter().map(f).collect()
-}
-
-/// Serial fallback of [`par_map`] (identical results by construction).
-#[cfg(not(feature = "parallel"))]
-pub(crate) fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    F: Fn(&T) -> R,
-{
-    items.iter().map(f).collect()
-}

@@ -8,6 +8,7 @@ pub use comimo_energy as energy;
 pub use comimo_faults as faults;
 pub use comimo_math as math;
 pub use comimo_net as net;
+pub use comimo_sensing as sensing;
 pub use comimo_sim as sim;
 pub use comimo_stbc as stbc;
 pub use comimo_testbed as testbed;

@@ -121,7 +121,8 @@ fn reconfiguration_survives_sequential_failures() {
                 .collect();
             alive[rng.gen_range(0..alive.len())]
         };
-        net.kill_node_and_reconfigure(victim);
+        net.try_kill_node_and_reconfigure(victim)
+            .unwrap_or_else(|e| panic!("after killing {victim}: {e}"));
         validate_clustering(net.graph(), net.clusters(), 35.0)
             .unwrap_or_else(|e| panic!("after killing {victim}: {e}"));
         assert!(net.clusters().iter().all(|c| !c.contains(victim)));
